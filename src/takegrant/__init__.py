@@ -13,7 +13,6 @@ from .bridges import (
     BridgePath,
     Direction,
     SearchReport,
-    SearchState,
     bridge_exists,
     bridge_exists_faithful,
     bridges_between_islands,
@@ -77,7 +76,6 @@ __all__ = [
     "SameIslandError",
     "SameVertexError",
     "SearchReport",
-    "SearchState",
     "SplitMix64",
     "TakeGrantError",
     "TooLargeError",

@@ -44,6 +44,8 @@ from .errors import InvariantViolationError, SameIslandError, SameVertexError
 from .graph import ProtectionGraph, Right, VertexId, VertexKind
 from .islands import Island
 
+_OBJECT = VertexKind.OBJECT
+
 
 class Direction(Enum):
     """Which way a t arc may be walked."""
@@ -87,8 +89,8 @@ class SearchReport:
 
 
 @dataclass
-class SearchState:
-    """Mutable partition of the traversal set while a search runs.
+class _SearchState:
+    """The faithful engine's partition of the traversal set.
 
     ``reached`` and ``unreached`` are disjoint and together cover the
     traversal set; ``predecessor`` maps every reached vertex except the
@@ -101,7 +103,7 @@ class SearchState:
     predecessor: dict[VertexId, VertexId] = field(default_factory=dict)
 
     @classmethod
-    def initial(cls, traversal: set[VertexId], start: VertexId) -> SearchState:
+    def initial(cls, traversal: set[VertexId], start: VertexId) -> _SearchState:
         return cls(reached={start}, unreached=set(traversal) - {start})
 
     def move(self, v: VertexId, via: VertexId) -> None:
@@ -141,31 +143,34 @@ def bridge_exists(
     vertices had all their t-arc endpoints claimed when they were
     scanned, so re-scanning them can never move anything.  That makes
     this engine linear in arcs while producing, pass for pass, the same
-    additions and predecessors as the full re-scan.
+    additions and predecessors as the full re-scan.  It reads the
+    graph's t-index and touches only the vertices it reaches: a query
+    costs O(t arcs out of the reached set), plus building the index on
+    the graph's first query in this direction.
     """
     check_query(g, s, f)
-    state = SearchState.initial(traversal_set(g, s, f), s)
-    neighbors = (
-        g.out_neighbors_with_right
-        if direction is Direction.FORWARD
-        else g.in_neighbors_with_right
-    )
+    t_adj = g._t_out_index() if direction is Direction.FORWARD else g._t_in_index()
+    kinds = g._kinds
+    # Membership means "reached"; every other vertex maps to the vertex
+    # whose arc first claimed it.  Only objects and f may be claimed.
+    pred: dict[VertexId, VertexId] = {s: s}
     trace: list[tuple[int, tuple[VertexId, ...]]] = []
     frontier: list[VertexId] = [s]
+    passes = 0
     while True:
-        state.passes += 1
+        passes += 1
         added: list[VertexId] = []
         for v in frontier:
-            for w in neighbors(v, Right.T):
-                if w in state.unreached:
-                    state.move(w, via=v)
+            for w in t_adj[v]:
+                if w not in pred and (kinds[w] is _OBJECT or w == f):
+                    pred[w] = v
                     added.append(w)
         added.sort()
-        trace.append((state.passes, tuple(added)))
-        if f in state.reached:
-            return _success(state, trace, direction, s, f)
+        trace.append((passes, tuple(added)))
+        if f in pred:
+            return _success(pred, passes, trace, direction, s, f)
         if not added:
-            return _failure(state, trace, direction)
+            return _failure(passes, trace, direction)
         frontier = added
 
 
@@ -183,7 +188,7 @@ def bridge_exists_faithful(
     arc of an almost fully reached graph.
     """
     check_query(g, s, f)
-    state = SearchState.initial(traversal_set(g, s, f), s)
+    state = _SearchState.initial(traversal_set(g, s, f), s)
     arcs = g.out_arcs if direction is Direction.FORWARD else g.in_arcs
     trace: list[tuple[int, tuple[VertexId, ...]]] = []
     while True:
@@ -197,13 +202,14 @@ def bridge_exists_faithful(
         added.sort()
         trace.append((state.passes, tuple(added)))
         if f in state.reached:
-            return _success(state, trace, direction, s, f)
+            return _success(state.predecessor, state.passes, trace, direction, s, f)
         if not added:
-            return _failure(state, trace, direction)
+            return _failure(state.passes, trace, direction)
 
 
 def _success(
-    state: SearchState,
+    predecessor: dict[VertexId, VertexId],
+    passes: int,
     trace: list[tuple[int, tuple[VertexId, ...]]],
     direction: Direction,
     s: VertexId,
@@ -212,19 +218,19 @@ def _success(
     vertices = [f]
     v = f
     while v != s:
-        v = state.predecessor[v]
+        v = predecessor[v]
         vertices.append(v)
     vertices.reverse()
     path = BridgePath(tuple(vertices), direction)
-    return SearchReport(True, direction, path, state.passes, tuple(trace))
+    return SearchReport(True, direction, path, passes, tuple(trace))
 
 
 def _failure(
-    state: SearchState,
+    passes: int,
     trace: list[tuple[int, tuple[VertexId, ...]]],
     direction: Direction,
 ) -> SearchReport:
-    return SearchReport(False, direction, None, state.passes, tuple(trace))
+    return SearchReport(False, direction, None, passes, tuple(trace))
 
 
 def find_bridge_path(

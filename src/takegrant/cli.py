@@ -1,9 +1,11 @@
 """Command-line front end.
 
 Exit codes are the scripting contract: 0 success (for queries: bridge
-found), 1 query answered negative, 2 usage or input error, 3 internal
-invariant violation.  Every subcommand that reads a graph accepts a
-file path or ``-`` for stdin.
+found), 1 query answered negative, 2 usage or input error (including
+input that is not UTF-8), 3 internal invariant violation or any other
+unexpected failure.  A crash must never exit 1, which would read as
+"no bridge".  Every subcommand that reads a graph accepts a file path
+or ``-`` for stdin.
 """
 
 from __future__ import annotations
@@ -271,8 +273,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _usage_error(str(exc))
     except OSError as exc:
         return _usage_error(str(exc))
+    except UnicodeDecodeError as exc:
+        return _usage_error(f"input is not valid UTF-8: {exc}")
     except InvariantViolationError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except Exception as exc:  # any other crash must still not exit 1
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 
 

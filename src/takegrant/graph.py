@@ -27,6 +27,13 @@ serialize -> parse -> serialize is byte-identical.
 
 Vertex ids are dense integers in declaration order.  They are an
 internal handle: every external format speaks vertex names.
+
+Each arc stores its rights as a 4-bit mask, one bit per right in
+``RIGHT_ORDER`` (t=1, g=2, r=4, w=8); ``Right`` values appear only at
+the API and text-format boundary.  The take arcs, which every bridge
+search walks, also get a per-direction index of ascending neighbour
+ids, built on the first query in that direction and dropped by any
+mutation.
 """
 
 from __future__ import annotations
@@ -34,7 +41,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import (
     DuplicateNameError,
@@ -71,6 +78,18 @@ class Right(Enum):
 # Canonical order for rights strings in the text format.
 RIGHT_ORDER = (Right.T, Right.G, Right.R, Right.W)
 
+# Rights mask bits, in RIGHT_ORDER.
+_BIT = {right: 1 << i for i, right in enumerate(RIGHT_ORDER)}
+_T = _BIT[Right.T]
+_TG = _T | _BIT[Right.G]
+_LETTER_BIT = {right.value: bit for right, bit in _BIT.items()}
+
+# Mask -> rights and mask -> canonical letters, for all 16 masks.
+_RIGHTS = tuple(
+    frozenset(right for right, bit in _BIT.items() if mask & bit) for mask in range(16)
+)
+_LETTERS = tuple("".join(right.value for right in RIGHT_ORDER if right in rs) for rs in _RIGHTS)
+
 
 @dataclass(frozen=True)
 class Edge:
@@ -84,17 +103,28 @@ class Edge:
 class ProtectionGraph:
     """Directed rights-labelled graph over named subject/object vertices.
 
-    Queries never mutate the graph, so a fully built graph may be shared
-    freely across threads; only ``add_vertex``/``add_edge`` need
-    exclusive access.
+    Queries leave the arcs untouched, but the first take-right query in
+    each direction fills a per-direction cache, the t-index.  Concurrent
+    first queries compute identical lists and publish them with a single
+    attribute assignment, so a fully built graph may still be shared
+    across threads for reading; ``add_vertex``/``add_edge`` drop the
+    cache and need exclusive access.
+
+    Inside the package, the frontier engine reads the t-index and
+    ``_kinds`` directly and the islands code reads
+    ``_subject_tg_links``; nothing outside the package should.
     """
 
     def __init__(self) -> None:
         self._names: list[str] = []
         self._kinds: list[VertexKind] = []
         self._ids: dict[str, VertexId] = {}
-        self._out: list[dict[VertexId, set[Right]]] = []
-        self._in: list[dict[VertexId, set[Right]]] = []
+        # Rights masks; _in[dst][src] always equals _out[src][dst].
+        self._out: list[dict[VertexId, int]] = []
+        self._in: list[dict[VertexId, int]] = []
+        # Ascending t-neighbour ids per vertex, or None until first use.
+        self._t_out: list[list[VertexId]] | None = None
+        self._t_in: list[list[VertexId]] | None = None
 
     # ---- construction ------------------------------------------------
 
@@ -112,17 +142,26 @@ class ProtectionGraph:
         self._ids[name] = vid
         self._out.append({})
         self._in.append({})
+        self._t_out = self._t_in = None
         return vid
 
     def add_edge(self, src: VertexId, dst: VertexId, rights: Iterable[Right]) -> None:
         """Add an arc src -> dst; rights union with any existing arc on the pair."""
         self._require(src)
         self._require(dst)
-        rights = set(rights)
-        if not rights:
+        mask = 0
+        for right in rights:
+            mask |= _BIT[right]
+        if not mask:
             raise EmptyRightsError(f"arc {self._names[src]} -> {self._names[dst]} has no rights")
-        self._out[src].setdefault(dst, set()).update(rights)
-        self._in[dst].setdefault(src, set()).update(rights)
+        self._insert(src, dst, mask)
+
+    def _insert(self, src: VertexId, dst: VertexId, mask: int) -> None:
+        """Union *mask* into the arc src -> dst; ids already checked."""
+        out = self._out[src]
+        merged = out[dst] = out.get(dst, 0) | mask
+        self._in[dst][src] = merged
+        self._t_out = self._t_in = None
 
     # ---- vertex queries ----------------------------------------------
 
@@ -164,44 +203,77 @@ class ProtectionGraph:
         """Rights on the arc src -> dst; empty frozenset when there is none."""
         self._require(src)
         self._require(dst)
-        return frozenset(self._out[src].get(dst, ()))
+        return _RIGHTS[self._out[src].get(dst, 0)]
 
     def out_arcs(self, v: VertexId) -> list[tuple[VertexId, frozenset[Right]]]:
         """All arcs leaving v as (neighbor, rights), ascending by neighbor id."""
         self._require(v)
-        return [(w, frozenset(rs)) for w, rs in sorted(self._out[v].items())]
+        return [(w, _RIGHTS[mask]) for w, mask in sorted(self._out[v].items())]
 
     def in_arcs(self, v: VertexId) -> list[tuple[VertexId, frozenset[Right]]]:
         """All arcs entering v as (neighbor, rights), ascending by neighbor id."""
         self._require(v)
-        return [(w, frozenset(rs)) for w, rs in sorted(self._in[v].items())]
+        return [(w, _RIGHTS[mask]) for w, mask in sorted(self._in[v].items())]
 
     def out_neighbors_with_right(self, v: VertexId, right: Right) -> list[VertexId]:
         """Targets of arcs v -> w carrying *right*, in ascending id order."""
         self._require(v)
-        return sorted(w for w, rs in self._out[v].items() if right in rs)
+        if right is Right.T:
+            return list(self._t_out_index()[v])
+        bit = _BIT[right]
+        return sorted(w for w, mask in self._out[v].items() if mask & bit)
 
     def in_neighbors_with_right(self, v: VertexId, right: Right) -> list[VertexId]:
         """Sources of arcs w -> v carrying *right*, in ascending id order."""
         self._require(v)
-        return sorted(w for w, rs in self._in[v].items() if right in rs)
+        if right is Right.T:
+            return list(self._t_in_index()[v])
+        bit = _BIT[right]
+        return sorted(w for w, mask in self._in[v].items() if mask & bit)
 
     def edges(self) -> list[Edge]:
         """Every merged arc, sorted by (src, dst)."""
         return [
-            Edge(src, dst, frozenset(rs))
-            for src in range(len(self._out))
-            for dst, rs in sorted(self._out[src].items())
+            Edge(src, dst, _RIGHTS[mask])
+            for src, adj in enumerate(self._out)
+            for dst, mask in sorted(adj.items())
         ]
 
     def reverse(self) -> ProtectionGraph:
         """New graph with the same vertices and every arc flipped."""
         rev = ProtectionGraph()
-        for name, kind in zip(self._names, self._kinds):
-            rev.add_vertex(name, kind)
-        for edge in self.edges():
-            rev.add_edge(edge.dst, edge.src, edge.rights)
+        rev._names = list(self._names)
+        rev._kinds = list(self._kinds)
+        rev._ids = dict(self._ids)
+        rev._out = [dict(adj) for adj in self._in]
+        rev._in = [dict(adj) for adj in self._out]
         return rev
+
+    # ---- package-internal views ------------------------------------------
+
+    def _t_out_index(self) -> list[list[VertexId]]:
+        """Per vertex, the ascending targets of its t arcs.  Read only."""
+        index = self._t_out
+        if index is None:
+            index = self._t_out = _t_lists(self._out)
+        return index
+
+    def _t_in_index(self) -> list[list[VertexId]]:
+        """Per vertex, the ascending sources of its t arcs.  Read only."""
+        index = self._t_in
+        if index is None:
+            index = self._t_in = _t_lists(self._in)
+        return index
+
+    def _subject_tg_links(self) -> Iterator[tuple[VertexId, VertexId]]:
+        """Every subject pair (u, w) joined by an arc u -> w carrying t or g."""
+        kinds = self._kinds
+        subject = VertexKind.SUBJECT
+        for u, adj in enumerate(self._out):
+            if kinds[u] is subject:
+                for w, mask in adj.items():
+                    if mask & _TG and kinds[w] is subject:
+                        yield u, w
 
     # ---- dunder ---------------------------------------------------------
 
@@ -223,6 +295,10 @@ class ProtectionGraph:
             raise UnknownVertexError(f"vertex id {v!r} is not in this graph")
 
 
+def _t_lists(adjacency: list[dict[VertexId, int]]) -> list[list[VertexId]]:
+    return [sorted(w for w, mask in adj.items() if mask & _T) for adj in adjacency]
+
+
 def new_graph() -> ProtectionGraph:
     """Empty graph."""
     return ProtectionGraph()
@@ -234,36 +310,39 @@ def parse_graph(text: str) -> ProtectionGraph:
     if not lines or lines[0].split() != TGG_HEADER.split():
         raise ParseError(1, f"expected header {TGG_HEADER!r}")
     g = ProtectionGraph()
+    ids = g._ids
     for lineno, raw in enumerate(lines[1:], start=2):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        tokens = raw.split()
+        if not tokens or tokens[0].startswith("#"):
             continue
-        tokens = line.split()
         keyword = tokens[0]
-        if keyword in ("subject", "object"):
+        if keyword == "edge":
+            if len(tokens) != 4:
+                raise ParseError(lineno, "expected 'edge <from> <to> <rights>'")
+            _, src_name, dst_name, rights_word = tokens
+            src = ids.get(src_name)
+            if src is None:
+                raise ParseError(lineno, f"unknown vertex {src_name!r}")
+            dst = ids.get(dst_name)
+            if dst is None:
+                raise ParseError(lineno, f"unknown vertex {dst_name!r}")
+            mask = 0
+            for ch in rights_word:
+                bit = _LETTER_BIT.get(ch)
+                if bit is None:
+                    raise ParseError(lineno, f"bad right letter {ch!r}")
+                mask |= bit
+            g._insert(src, dst, mask)
+        elif keyword in ("subject", "object"):
             if len(tokens) != 2:
                 raise ParseError(lineno, f"expected '{keyword} <name>'")
             name = tokens[1]
             if not _NAME_RE.match(name):
                 raise ParseError(lineno, f"bad vertex name {name!r}")
-            if g.has_vertex(name):
+            if name in ids:
                 raise ParseError(lineno, f"duplicate vertex {name!r}")
             kind = VertexKind.SUBJECT if keyword == "subject" else VertexKind.OBJECT
             g.add_vertex(name, kind)
-        elif keyword == "edge":
-            if len(tokens) != 4:
-                raise ParseError(lineno, "expected 'edge <from> <to> <rights>'")
-            _, src_name, dst_name, rights_word = tokens
-            for name in (src_name, dst_name):
-                if not g.has_vertex(name):
-                    raise ParseError(lineno, f"unknown vertex {name!r}")
-            rights = set()
-            for ch in rights_word:
-                try:
-                    rights.add(Right(ch))
-                except ValueError:
-                    raise ParseError(lineno, f"bad right letter {ch!r}") from None
-            g.add_edge(g.vertex_id(src_name), g.vertex_id(dst_name), rights)
         else:
             raise ParseError(lineno, f"unknown keyword {keyword!r}")
     return g
@@ -271,10 +350,11 @@ def parse_graph(text: str) -> ProtectionGraph:
 
 def serialize_graph(g: ProtectionGraph) -> str:
     """Canonical TGG text for *g*; parse_graph(serialize_graph(g)) == g."""
+    names = g._names
     out = [TGG_HEADER]
-    for v in range(g.vertex_count):
-        out.append(f"{g.vertex_kind(v).value} {g.vertex_name(v)}")
-    for edge in g.edges():
-        letters = "".join(r.value for r in RIGHT_ORDER if r in edge.rights)
-        out.append(f"edge {g.vertex_name(edge.src)} {g.vertex_name(edge.dst)} {letters}")
+    for name, kind in zip(names, g._kinds):
+        out.append(f"{kind.value} {name}")
+    for src, adj in enumerate(g._out):
+        for dst, mask in sorted(adj.items()):
+            out.append(f"edge {names[src]} {names[dst]} {_LETTERS[mask]}")
     return "\n".join(out) + "\n"

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotASubjectError
-from .graph import ProtectionGraph, Right, VertexId, VertexKind
+from .graph import ProtectionGraph, VertexId, VertexKind
 
 
 @dataclass(frozen=True)
@@ -38,6 +38,13 @@ class _UnionFind:
         self._parent[self.find(a)] = self.find(b)
 
 
+def _subject_union_find(g: ProtectionGraph) -> _UnionFind:
+    uf = _UnionFind(g.subjects())
+    for u, w in g._subject_tg_links():
+        uf.union(u, w)
+    return uf
+
+
 def compute_islands(g: ProtectionGraph) -> list[Island]:
     """Partition the subject vertices of *g* into islands.
 
@@ -45,17 +52,9 @@ def compute_islands(g: ProtectionGraph) -> list[Island]:
     carries take or grant.  Islands come back sorted by their smallest
     member id, and that sort position is the island's index.
     """
-    subjects = set(g.subjects())
-    uf = _UnionFind(sorted(subjects))
-    for edge in g.edges():
-        if (
-            edge.src in subjects
-            and edge.dst in subjects
-            and (Right.T in edge.rights or Right.G in edge.rights)
-        ):
-            uf.union(edge.src, edge.dst)
+    uf = _subject_union_find(g)
     groups: dict[VertexId, list[VertexId]] = {}
-    for v in sorted(subjects):
+    for v in g.subjects():
         groups.setdefault(uf.find(v), []).append(v)
     ordered = sorted(groups.values(), key=lambda members: members[0])
     return [Island(index=i, members=tuple(members)) for i, members in enumerate(ordered)]
@@ -68,5 +67,5 @@ def same_island(g: ProtectionGraph, u: VertexId, v: VertexId) -> bool:
             raise NotASubjectError(
                 f"vertex {g.vertex_name(vertex)!r} is an object; islands contain only subjects"
             )
-    membership = {member: island.index for island in compute_islands(g) for member in island.members}
-    return membership[u] == membership[v]
+    uf = _subject_union_find(g)
+    return uf.find(u) == uf.find(v)

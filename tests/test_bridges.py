@@ -156,6 +156,43 @@ class TestSemantics:
         assert report.frontier_trace == ((1, (1, 2)),)
 
 
+class TestQueriesAfterMutation:
+    """Answers track the graph as it grows, whatever was queried before."""
+
+    def _agree(self, g, s, f, direction):
+        report = bridge_exists(g, s, f, direction)
+        assert report == bridge_exists_faithful(g, s, f, direction)
+        return report
+
+    def test_new_t_arc_completes_bridge(self):
+        g = make_graph([("s", "s"), ("x", "o"), ("f", "s")], [("s", "x", "t")])
+        assert not self._agree(g, 0, 2, Direction.FORWARD).exists
+        assert not self._agree(g, 2, 0, Direction.BACKWARD).exists
+        g.add_edge(1, 2, {Right.T})
+        assert self._agree(g, 0, 2, Direction.FORWARD).path.vertices == (0, 1, 2)
+        assert self._agree(g, 2, 0, Direction.BACKWARD).path.vertices == (2, 1, 0)
+
+    def test_new_vertex_and_arcs_complete_bridge(self):
+        g = make_graph([("s", "s"), ("x", "o"), ("f", "s")], [("s", "x", "t")])
+        for direction in BOTH:
+            assert not self._agree(g, 0, 2, direction).exists
+        y = g.add_vertex("y", VertexKind.OBJECT)
+        g.add_edge(0, y, {Right.T})
+        g.add_edge(y, 2, {Right.T})
+        assert self._agree(g, 0, 2, Direction.FORWARD).path.vertices == (0, y, 2)
+        assert self._agree(g, 2, 0, Direction.BACKWARD).path.vertices == (2, y, 0)
+        assert not self._agree(g, 0, 2, Direction.BACKWARD).exists
+
+    def test_edited_neighbor_lists_change_nothing(self):
+        g = figure_graph()
+        before = [bridge_exists(g, 0, 2, d) for d in BOTH]
+        for v in range(g.vertex_count):
+            g.out_neighbors_with_right(v, Right.T).clear()
+            g.in_neighbors_with_right(v, Right.T).append(v)
+        assert [bridge_exists(g, 0, 2, d) for d in BOTH] == before
+        assert before[0].path.vertices == (0, 1, 2)
+
+
 class TestErrors:
     def test_same_vertex_rejected(self):
         g = figure_graph()

@@ -2,6 +2,10 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -117,6 +121,43 @@ class TestBridgesCommand:
     def test_out_of_range_index(self, figure_file, capsys):
         assert cli.main(["bridges", figure_file, "0", "9"]) == 2
         assert "out of range" in capsys.readouterr().err
+
+
+class TestExitCodeContract:
+    """A crash must never exit 1, which means "no bridge"."""
+
+    @pytest.fixture
+    def latin1_file(self, tmp_path):
+        path = tmp_path / "latin1.tgg"
+        path.write_bytes(b"tgg 1\nsubject s\nobject x\nsubject \xff\n")
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["bridge", "{}", "s", "x"], ["islands", "{}"], ["bridges", "{}", "0", "1"]],
+        ids=["bridge", "islands", "bridges"],
+    )
+    def test_non_utf8_input_is_usage_error(self, latin1_file, argv):
+        args = [a.format(latin1_file) for a in argv]
+        src = Path(cli.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-m", "takegrant.cli", *args],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: input is not valid UTF-8")
+        assert proc.stderr.count("\n") == 1
+
+    def test_unexpected_exception_is_internal_error(self, figure_file, capsys, monkeypatch):
+        def broken(g):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "compute_islands", broken)
+        assert cli.main(["islands", figure_file]) == 3
+        assert capsys.readouterr().err == "internal error: RuntimeError: boom\n"
 
 
 class TestCheckCommand:

@@ -127,6 +127,52 @@ class TestAdjacency:
                     assert lst == sorted(set(lst))
 
 
+class TestTIndex:
+    """The take-arc index is built by the first query and dropped by every
+    mutation; callers only ever see copies of it."""
+
+    def test_returned_lists_are_copies(self):
+        g = figure_graph()
+        s, x = g.vertex_id("s"), g.vertex_id("x")
+        g.out_neighbors_with_right(s, Right.T).append(x)
+        g.in_neighbors_with_right(x, Right.T).clear()
+        assert g.out_neighbors_with_right(s, Right.T) == [x]
+        assert g.in_neighbors_with_right(x, Right.T) == [s]
+
+    def test_add_edge_after_query(self):
+        g = make_graph([("s", "s"), ("a", "o"), ("b", "o")], [("s", "b", "t")])
+        assert g.out_neighbors_with_right(0, Right.T) == [2]
+        assert g.in_neighbors_with_right(1, Right.T) == []
+        g.add_edge(0, 1, {Right.T})
+        assert g.out_neighbors_with_right(0, Right.T) == [1, 2]
+        assert g.in_neighbors_with_right(1, Right.T) == [0]
+
+    def test_add_vertex_after_query(self):
+        g = figure_graph()
+        assert g.out_neighbors_with_right(0, Right.T) == [1]
+        assert g.in_neighbors_with_right(1, Right.T) == [0]
+        y = g.add_vertex("y", VertexKind.OBJECT)
+        assert g.out_neighbors_with_right(y, Right.T) == []
+        assert g.in_neighbors_with_right(y, Right.T) == []
+        g.add_edge(y, 0, {Right.T})
+        assert g.out_neighbors_with_right(y, Right.T) == [0]
+        assert g.in_neighbors_with_right(0, Right.T) == [y]
+
+    def test_new_rights_on_existing_pairs_union(self):
+        g = make_graph([("s", "s"), ("x", "o"), ("y", "o")], [("s", "x", "t"), ("s", "y", "g")])
+        assert g.out_neighbors_with_right(0, Right.T) == [1]
+        assert g.in_neighbors_with_right(2, Right.T) == []
+        g.add_edge(0, 1, {Right.G})
+        g.add_edge(0, 2, {Right.T})
+        assert g.rights_between(0, 1) == {Right.T, Right.G}
+        assert g.rights_between(0, 2) == {Right.T, Right.G}
+        assert g.rights_between(1, 0) == frozenset()
+        assert g.out_neighbors_with_right(0, Right.T) == [1, 2]
+        assert g.out_neighbors_with_right(0, Right.G) == [1, 2]
+        assert g.in_neighbors_with_right(2, Right.T) == [0]
+        assert g.edge_count == 2
+
+
 class TestReverse:
     def test_reverse_of_empty(self):
         assert new_graph().reverse() == new_graph()
