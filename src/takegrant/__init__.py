@@ -26,6 +26,7 @@ from .errors import (
     EmptyRightsError,
     EmptySpecError,
     InvalidNameError,
+    InvalidRightError,
     InvariantViolationError,
     NotASubjectError,
     ParseError,
@@ -65,6 +66,7 @@ __all__ = [
     "EmptyRightsError",
     "EmptySpecError",
     "InvalidNameError",
+    "InvalidRightError",
     "InvariantViolationError",
     "Island",
     "NotASubjectError",

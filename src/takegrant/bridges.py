@@ -18,13 +18,26 @@ They must return identical reports on every input; the test suite
 enforces this exhaustively on small graphs and statistically on large
 random ones.
 
+The frontier engine is one search core, ``_search``, that reads the
+t-lists the graph keeps up to date on insert and never writes to the
+graph.  It stops as soon as nothing claimable is left (saturation):
+the graph counts the objects some t arc enters (forward) or leaves
+(backward), so the number of claimable vertices costs O(1) per query,
+and once every one of them is reached the rest of the scan could claim
+nothing.  A query thus costs O(t arcs out of the vertices it scans),
+at most the t arcs out of the reached set.  The core takes a set of
+goals: ``bridge_exists`` is the single-goal case, and
+``bridges_between_islands`` runs one search per source island member
+with every member of the other island as a goal.
+
 Pass semantics, shared by both engines and pinned by the tests:
 
 * a pass scans only vertices that were already reached when the pass
   started; vertices discovered mid-pass wait for the next pass;
-* vertices are scanned in ascending id order, their t-arcs likewise,
-  and the first arc to reach a vertex fixes its predecessor, so reports
-  are fully deterministic;
+* vertices are scanned in ascending id order, and the first arc to
+  reach a vertex fixes its predecessor, so reports are fully
+  deterministic (the order of one vertex's own arcs cannot matter: all
+  of them claim through that vertex);
 * after each pass, reaching ``f`` terminates with success; a pass that
   moved nothing terminates with failure and still counts, so the trace
   always has exactly ``passes`` entries and only a final failing entry
@@ -38,7 +51,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any
+from typing import Any, Collection
 
 from .errors import InvariantViolationError, SameIslandError, SameVertexError
 from .graph import ProtectionGraph, Right, VertexId, VertexKind
@@ -131,6 +144,75 @@ def check_query(g: ProtectionGraph, s: VertexId, f: VertexId) -> None:
         )
 
 
+def _search(
+    g: ProtectionGraph,
+    s: VertexId,
+    goals: Collection[VertexId],
+    direction: Direction,
+) -> tuple[dict[VertexId, VertexId], list[tuple[int, tuple[VertexId, ...]]]]:
+    """The frontier engine: search from *s* until every goal is reached.
+
+    Returns ``(pred, trace)``: ``pred`` maps each reached vertex to the
+    vertex whose arc first claimed it (``s`` maps to itself), and
+    ``trace`` holds one ``(pass_number, ids_added)`` entry per pass.
+    Objects and goals may be claimed; claimed objects are expanded on
+    the next pass, goals never are.  The search ends after the pass
+    that reaches the last goal, after a pass that adds nothing, or as
+    soon as nothing claimable is left (see ``bridge_exists``).  With
+    several goals the t-lists are copied once, O(vertices), so that the
+    goals' own lists read as empty.
+    """
+    if direction is Direction.FORWARD:
+        step, into, entered = g._t_succ, g._t_pred, g._t_entered_objects
+    else:
+        step, into, entered = g._t_pred, g._t_succ, g._t_left_objects
+    kinds = g._kinds
+    # Claimable: objects, plus subject goals, that some t arc enters in
+    # the walk direction; s is reached already.  Objects entered only
+    # from subjects are counted too, so this may overestimate, never
+    # underestimate.
+    remaining = entered - (kinds[s] is _OBJECT and bool(into[s]))
+    for f in goals:
+        if kinds[f] is not _OBJECT and into[f]:
+            remaining += 1
+    # Goals are claimed, never expanded.  A single goal ends the search
+    # in the pass that claims it, so only several goals need the copy.
+    if len(goals) > 1:
+        step = list(step)
+        for f in goals:
+            step[f] = ()
+    pending = list(goals)
+    goal = pending.pop()  # the goal each pass end checks first
+    pred: dict[VertexId, VertexId] = {s: s}
+    trace: list[tuple[int, tuple[VertexId, ...]]] = []
+    frontier: list[VertexId] = [s] if remaining else []
+    passes = 0
+    while True:
+        passes += 1
+        added: list[VertexId] = []
+        for v in frontier:
+            for w in step[v]:
+                if w not in pred and (kinds[w] is _OBJECT or w in goals):
+                    pred[w] = v
+                    added.append(w)
+                    remaining -= 1
+            if not remaining:
+                # Saturated: the rest of this pass and all of the next,
+                # which a full scan would run, can claim nothing.
+                frontier = []
+                break
+        else:
+            frontier = added
+        added.sort()
+        trace.append((passes, tuple(added)))
+        while goal in pred:
+            if not pending:
+                return pred, trace
+            goal = pending.pop()
+        if not added:
+            return pred, trace
+
+
 def bridge_exists(
     g: ProtectionGraph,
     s: VertexId,
@@ -143,35 +225,23 @@ def bridge_exists(
     vertices had all their t-arc endpoints claimed when they were
     scanned, so re-scanning them can never move anything.  That makes
     this engine linear in arcs while producing, pass for pass, the same
-    additions and predecessors as the full re-scan.  It reads the
-    graph's t-index and touches only the vertices it reaches: a query
-    costs O(t arcs out of the reached set), plus building the index on
-    the graph's first query in this direction.
+    additions and predecessors as the full re-scan.
+
+    It also counts the vertices still claimable -- objects, and f if it
+    is a subject, that some t arc enters in the walk direction -- from
+    counters the graph keeps, and stops scanning as soon as that count
+    reaches zero, recording the empty pass a full scan would end with.
+    A query therefore costs O(t arcs out of the scanned vertices): at
+    most the t arcs out of the reached set, and on a worst-case miss
+    only up to the arc that claims the last claimable vertex.  This is
+    the single-goal case of the search ``bridges_between_islands`` runs
+    once per source.
     """
     check_query(g, s, f)
-    t_adj = g._t_out_index() if direction is Direction.FORWARD else g._t_in_index()
-    kinds = g._kinds
-    # Membership means "reached"; every other vertex maps to the vertex
-    # whose arc first claimed it.  Only objects and f may be claimed.
-    pred: dict[VertexId, VertexId] = {s: s}
-    trace: list[tuple[int, tuple[VertexId, ...]]] = []
-    frontier: list[VertexId] = [s]
-    passes = 0
-    while True:
-        passes += 1
-        added: list[VertexId] = []
-        for v in frontier:
-            for w in t_adj[v]:
-                if w not in pred and (kinds[w] is _OBJECT or w == f):
-                    pred[w] = v
-                    added.append(w)
-        added.sort()
-        trace.append((passes, tuple(added)))
-        if f in pred:
-            return _success(pred, passes, trace, direction, s, f)
-        if not added:
-            return _failure(passes, trace, direction)
-        frontier = added
+    pred, trace = _search(g, s, (f,), direction)
+    if f in pred:
+        return _success(pred, len(trace), trace, direction, s, f)
+    return _failure(len(trace), trace, direction)
 
 
 def bridge_exists_faithful(
@@ -215,14 +285,20 @@ def _success(
     s: VertexId,
     f: VertexId,
 ) -> SearchReport:
+    path = _path(predecessor, s, f, direction)
+    return SearchReport(True, direction, path, passes, tuple(trace))
+
+
+def _path(
+    predecessor: dict[VertexId, VertexId], s: VertexId, f: VertexId, direction: Direction
+) -> BridgePath:
     vertices = [f]
     v = f
     while v != s:
         v = predecessor[v]
         vertices.append(v)
     vertices.reverse()
-    path = BridgePath(tuple(vertices), direction)
-    return SearchReport(True, direction, path, passes, tuple(trace))
+    return BridgePath(tuple(vertices), direction)
 
 
 def _failure(
@@ -251,17 +327,21 @@ def bridges_between_islands(
 ) -> list[tuple[VertexId, VertexId, BridgePath]]:
     """All (s, f, path) bridges from island_a members to island_b members.
 
-    Runs one search per ordered member pair; the result is sorted by
+    Runs one frontier search per member of island_a, with every member
+    of island_b as a goal: goals are claimed but never expanded, so each
+    path equals the one ``find_bridge_path(g, s, f, direction)`` gives,
+    with |A| searches instead of |A|*|B|.  The result is sorted by
     (s, f) because members come ascending.
     """
     if island_a.index == island_b.index:
         raise SameIslandError(f"need two distinct islands, got index {island_a.index} twice")
+    goals = frozenset(island_b.members)
     found: list[tuple[VertexId, VertexId, BridgePath]] = []
     for s in island_a.members:
+        pred, _ = _search(g, s, goals, direction)
         for f in island_b.members:
-            path = find_bridge_path(g, s, f, direction)
-            if path is not None:
-                found.append((s, f, path))
+            if f in pred:
+                found.append((s, f, _path(pred, s, f, direction)))
     return found
 
 

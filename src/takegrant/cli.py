@@ -129,17 +129,32 @@ def _cmd_check(args: argparse.Namespace) -> int:
     # reacts to them, so disagreement flags label-filtering bugs too.
     pool = frozenset(Right)
     agree = 0
+    named = False
     for trial in range(args.trials):
-        spec = RandomGraphSpec(args.subjects, args.objects, args.p, pool, seed=args.seed + trial)
-        g = random_graph(spec)
+        seed = args.seed + trial
+        g = random_graph(RandomGraphSpec(args.subjects, args.objects, args.p, pool, seed))
         s, f = 0, 1  # the first two subjects
         ok = True
         for direction in (Direction.FORWARD, Direction.BACKWARD):
             fast = bridge_exists(g, s, f, direction)
             slow = bridge_exists_faithful(g, s, f, direction)
             witness = brute_force_bridge(g, s, f, direction)
-            if fast != slow or fast.exists != (witness is not None):
-                ok = False
+            if fast != slow:
+                pair = "frontier vs faithful"
+            elif fast.exists != (witness is not None):
+                pair = "frontier vs brute force"
+            else:
+                continue
+            ok = False
+            if not named:
+                # The same spec with --rights tgrw makes gen write this graph.
+                print(
+                    f"first disagreement: seed {seed}, {direction.value}, {pair}; replay: "
+                    f"takegrant gen --subjects {args.subjects} --objects {args.objects} "
+                    f"--p {args.p} --rights tgrw --seed {seed}",
+                    file=sys.stderr,
+                )
+                named = True
         if ok:
             agree += 1
     print(f"{agree}/{args.trials} agree")
@@ -174,10 +189,13 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     for name, engine in variants:
         for n in args.sizes:
             # Timed query is a worst-case miss: the target is an isolated
-            # object, so the engine must exhaust everything reachable
-            # before it may conclude there is no bridge.  Hit queries
-            # stop whenever the target happens to fall into the reached
-            # set, which says little about how the engine scales.
+            # object, so the faithful engine must exhaust everything
+            # reachable before it may conclude there is no bridge.  The
+            # frontier engine stops once every object some t arc enters
+            # is reached, so it no longer scans every reached vertex's
+            # arcs.  Hit queries stop whenever the target happens to
+            # fall into the reached set, which says little about how the
+            # engines scale.
             spec = RandomGraphSpec(1, n - 2, args.density, frozenset({Right.T}), args.seed + n)
             g = random_graph(spec)
             sink = g.add_vertex("sink", VertexKind.OBJECT)

@@ -21,6 +21,10 @@ class EmptyRightsError(TakeGrantError):
     """An arc was given an empty rights set."""
 
 
+class InvalidRightError(TakeGrantError):
+    """An arc's rights contained an item that is not a ``Right``."""
+
+
 class ParseError(TakeGrantError):
     """TGG text is malformed; carries the 1-based line number."""
 

@@ -31,9 +31,8 @@ internal handle: every external format speaks vertex names.
 Each arc stores its rights as a 4-bit mask, one bit per right in
 ``RIGHT_ORDER`` (t=1, g=2, r=4, w=8); ``Right`` values appear only at
 the API and text-format boundary.  The take arcs, which every bridge
-search walks, also get a per-direction index of ascending neighbour
-ids, built on the first query in that direction and dropped by any
-mutation.
+search walks, are also kept as per-vertex successor and predecessor
+lists, appended to when an arc first gains ``t``.
 """
 
 from __future__ import annotations
@@ -47,6 +46,7 @@ from .errors import (
     DuplicateNameError,
     EmptyRightsError,
     InvalidNameError,
+    InvalidRightError,
     ParseError,
     UnknownVertexError,
 )
@@ -63,6 +63,9 @@ class VertexKind(Enum):
 
     SUBJECT = "subject"
     OBJECT = "object"
+
+
+_OBJECT = VertexKind.OBJECT
 
 
 class Right(Enum):
@@ -103,15 +106,12 @@ class Edge:
 class ProtectionGraph:
     """Directed rights-labelled graph over named subject/object vertices.
 
-    Queries leave the arcs untouched, but the first take-right query in
-    each direction fills a per-direction cache, the t-index.  Concurrent
-    first queries compute identical lists and publish them with a single
-    attribute assignment, so a fully built graph may still be shared
-    across threads for reading; ``add_vertex``/``add_edge`` drop the
-    cache and need exclusive access.
+    Every index is kept up to date by ``add_vertex``/``add_edge``, so a
+    query never writes to the graph: a fully built graph may be shared
+    across threads for reading, while mutation needs exclusive access.
 
-    Inside the package, the frontier engine reads the t-index and
-    ``_kinds`` directly and the islands code reads
+    Inside the package, the frontier engine reads the t-lists, their
+    object counters and ``_kinds`` directly, and the islands code reads
     ``_subject_tg_links``; nothing outside the package should.
     """
 
@@ -122,9 +122,13 @@ class ProtectionGraph:
         # Rights masks; _in[dst][src] always equals _out[src][dst].
         self._out: list[dict[VertexId, int]] = []
         self._in: list[dict[VertexId, int]] = []
-        # Ascending t-neighbour ids per vertex, or None until first use.
-        self._t_out: list[list[VertexId]] | None = None
-        self._t_in: list[list[VertexId]] | None = None
+        # Per vertex, the other end of each t arc, in the order the t
+        # bit first appeared on the pair (unsorted).
+        self._t_succ: list[list[VertexId]] = []
+        self._t_pred: list[list[VertexId]] = []
+        # Objects that some t arc enters, and objects that some t arc leaves.
+        self._t_entered_objects = 0
+        self._t_left_objects = 0
 
     # ---- construction ------------------------------------------------
 
@@ -142,16 +146,31 @@ class ProtectionGraph:
         self._ids[name] = vid
         self._out.append({})
         self._in.append({})
-        self._t_out = self._t_in = None
+        self._t_succ.append([])
+        self._t_pred.append([])
         return vid
 
     def add_edge(self, src: VertexId, dst: VertexId, rights: Iterable[Right]) -> None:
-        """Add an arc src -> dst; rights union with any existing arc on the pair."""
-        self._require(src)
-        self._require(dst)
+        """Add an arc src -> dst; rights union with any existing arc on the pair.
+
+        Every item of *rights* must be a ``Right``; otherwise
+        ``InvalidRightError`` names the first bad item and the graph is
+        left unchanged.
+        """
+        n = len(self._names)
+        # The checks _require makes, inlined for the common case of two
+        # valid ids; _require names the bad one.
+        if not (isinstance(src, int) and isinstance(dst, int) and 0 <= src < n and 0 <= dst < n):
+            self._require(src)
+            self._require(dst)
         mask = 0
         for right in rights:
-            mask |= _BIT[right]
+            try:
+                mask |= _BIT[right]
+            except (KeyError, TypeError):
+                raise InvalidRightError(
+                    f"arc {self._names[src]} -> {self._names[dst]}: {right!r} is not a Right"
+                ) from None
         if not mask:
             raise EmptyRightsError(f"arc {self._names[src]} -> {self._names[dst]} has no rights")
         self._insert(src, dst, mask)
@@ -159,9 +178,18 @@ class ProtectionGraph:
     def _insert(self, src: VertexId, dst: VertexId, mask: int) -> None:
         """Union *mask* into the arc src -> dst; ids already checked."""
         out = self._out[src]
-        merged = out[dst] = out.get(dst, 0) | mask
+        old = out.get(dst, 0)
+        merged = out[dst] = old | mask
         self._in[dst][src] = merged
-        self._t_out = self._t_in = None
+        if (merged ^ old) & _T:
+            succ = self._t_succ[src]
+            if not succ and self._kinds[src] is _OBJECT:
+                self._t_left_objects += 1
+            succ.append(dst)
+            pred = self._t_pred[dst]
+            if not pred and self._kinds[dst] is _OBJECT:
+                self._t_entered_objects += 1
+            pred.append(src)
 
     # ---- vertex queries ----------------------------------------------
 
@@ -219,7 +247,7 @@ class ProtectionGraph:
         """Targets of arcs v -> w carrying *right*, in ascending id order."""
         self._require(v)
         if right is Right.T:
-            return list(self._t_out_index()[v])
+            return sorted(self._t_succ[v])
         bit = _BIT[right]
         return sorted(w for w, mask in self._out[v].items() if mask & bit)
 
@@ -227,7 +255,7 @@ class ProtectionGraph:
         """Sources of arcs w -> v carrying *right*, in ascending id order."""
         self._require(v)
         if right is Right.T:
-            return list(self._t_in_index()[v])
+            return sorted(self._t_pred[v])
         bit = _BIT[right]
         return sorted(w for w, mask in self._in[v].items() if mask & bit)
 
@@ -247,23 +275,13 @@ class ProtectionGraph:
         rev._ids = dict(self._ids)
         rev._out = [dict(adj) for adj in self._in]
         rev._in = [dict(adj) for adj in self._out]
+        rev._t_succ = [list(ws) for ws in self._t_pred]
+        rev._t_pred = [list(ws) for ws in self._t_succ]
+        rev._t_entered_objects = self._t_left_objects
+        rev._t_left_objects = self._t_entered_objects
         return rev
 
     # ---- package-internal views ------------------------------------------
-
-    def _t_out_index(self) -> list[list[VertexId]]:
-        """Per vertex, the ascending targets of its t arcs.  Read only."""
-        index = self._t_out
-        if index is None:
-            index = self._t_out = _t_lists(self._out)
-        return index
-
-    def _t_in_index(self) -> list[list[VertexId]]:
-        """Per vertex, the ascending sources of its t arcs.  Read only."""
-        index = self._t_in
-        if index is None:
-            index = self._t_in = _t_lists(self._in)
-        return index
 
     def _subject_tg_links(self) -> Iterator[tuple[VertexId, VertexId]]:
         """Every subject pair (u, w) joined by an arc u -> w carrying t or g."""
@@ -293,10 +311,6 @@ class ProtectionGraph:
     def _require(self, v: VertexId) -> None:
         if not isinstance(v, int) or not 0 <= v < len(self._names):
             raise UnknownVertexError(f"vertex id {v!r} is not in this graph")
-
-
-def _t_lists(adjacency: list[dict[VertexId, int]]) -> list[list[VertexId]]:
-    return [sorted(w for w, mask in adj.items() if mask & _T) for adj in adjacency]
 
 
 def new_graph() -> ProtectionGraph:

@@ -135,3 +135,12 @@ def graphs_with_endpoints(draw, max_objects=5, rights=(Right.T,), max_edges=20):
     for src, dst, rs in draw(st.lists(st.tuples(ids, ids, rights_sets), max_size=max_edges)):
         g.add_edge(src, dst, rs)
     return g, s, f
+
+
+@st.composite
+def graphs_with_any_endpoints(draw):
+    """A t-only graph plus a distinct (s, f) pair of any kinds."""
+    g = draw(graphs(rights=(Right.T,)).filter(lambda g: g.vertex_count >= 2))
+    s = draw(st.integers(0, g.vertex_count - 1))
+    f = draw(st.integers(0, g.vertex_count - 1).filter(lambda v: v != s))
+    return g, s, f

@@ -82,18 +82,20 @@ def _audit_graph(g: ProtectionGraph, s: int, f: int, stats: SweepStats) -> None:
                 stats.duality_mismatches += 1
 
 
+EXHAUSTIVE_SWEEP_VERTICES = [
+    ("s", VertexKind.SUBJECT),
+    ("f", VertexKind.SUBJECT),
+    ("o0", VertexKind.OBJECT),
+    ("o1", VertexKind.OBJECT),
+]
+
+
 @pytest.fixture(scope="session")
 def exhaustive_sweep() -> SweepStats:
     """Every t-arc pattern over s, f and two objects: 4096 graphs."""
-    vertices = [
-        ("s", VertexKind.SUBJECT),
-        ("f", VertexKind.SUBJECT),
-        ("o0", VertexKind.OBJECT),
-        ("o1", VertexKind.OBJECT),
-    ]
     stats = SweepStats()
     start = time.perf_counter()
-    for g in enumerate_t_arc_graphs(vertices):
+    for g in enumerate_t_arc_graphs(EXHAUSTIVE_SWEEP_VERTICES):
         _audit_graph(g, 0, 1, stats)
     stats.elapsed = time.perf_counter() - start
     return stats
@@ -105,20 +107,52 @@ RANDOM_SWEEP_TRIALS_PER_COMBO = 334  # 10 sizes x 3 densities x 334 = 10,020
 RANDOM_SWEEP_SEED_BASE = 20_000
 
 
-@pytest.fixture(scope="session")
-def random_sweep() -> SweepStats:
-    """10,020 seeded random graphs between 3 and 12 vertices."""
-    stats = SweepStats()
+def _random_sweep_graphs():
     seed = RANDOM_SWEEP_SEED_BASE
-    start = time.perf_counter()
     for n in RANDOM_SWEEP_SIZES:
         for p in RANDOM_SWEEP_PROBABILITIES:
             for _ in range(RANDOM_SWEEP_TRIALS_PER_COMBO):
                 seed += 1
-                g = random_graph(RandomGraphSpec(2, n - 2, p, frozenset({Right.T}), seed))
-                _audit_graph(g, 0, 1, stats)
+                yield random_graph(RandomGraphSpec(2, n - 2, p, frozenset({Right.T}), seed))
+
+
+@pytest.fixture(scope="session")
+def random_sweep() -> SweepStats:
+    """10,020 seeded random graphs between 3 and 12 vertices."""
+    stats = SweepStats()
+    start = time.perf_counter()
+    for g in _random_sweep_graphs():
+        _audit_graph(g, 0, 1, stats)
     stats.elapsed = time.perf_counter() - start
     return stats
+
+
+def _object_endpoint_pairs(g: ProtectionGraph) -> dict[str, tuple[int, int]]:
+    """Endpoints of every other kind pairing: subjects are 0 and 1, then
+    objects 2, 3, ...; (object, object) needs two objects."""
+    last = g.vertex_count - 1
+    pairs = {"subject->object": (0, last), "object->subject": (2, 1)}
+    if last > 2:
+        pairs["object->object"] = (2, last)
+    return pairs
+
+
+def _endpoint_sweep(graphs) -> dict[str, SweepStats]:
+    stats: dict[str, SweepStats] = {}
+    for g in graphs:
+        for kinds, (s, f) in _object_endpoint_pairs(g).items():
+            _audit_graph(g, s, f, stats.setdefault(kinds, SweepStats()))
+    return stats
+
+
+@pytest.fixture(scope="session")
+def object_endpoint_sweeps() -> dict[str, dict[str, SweepStats]]:
+    """The exhaustive and random sweeps' graphs, queried between the other
+    endpoint kinds: (subject, object), (object, subject), (object, object)."""
+    return {
+        "exhaustive": _endpoint_sweep(enumerate_t_arc_graphs(EXHAUSTIVE_SWEEP_VERTICES)),
+        "random": _endpoint_sweep(_random_sweep_graphs()),
+    }
 
 
 def test_criterion_1_length2_walkthrough():
@@ -179,6 +213,23 @@ def test_criterion_3_randomized_oracle_equivalence(random_sweep):
         f"{st.trials} trials, agree fwd {st.forward_agree} / bwd {st.backward_agree}, "
         f"faithful mismatches {st.faithful_mismatches}, {st.elapsed:.1f} s",
     )
+
+
+@pytest.mark.parametrize("sweep", ["exhaustive", "random"])
+def test_object_endpoints_agree(object_endpoint_sweeps, sweep):
+    stats = object_endpoint_sweeps[sweep]
+    assert sorted(stats) == ["object->object", "object->subject", "subject->object"]
+    if sweep == "exhaustive":
+        assert {kinds: st.trials for kinds, st in stats.items()} == dict.fromkeys(stats, 4096)
+    else:
+        # Graphs of three vertices have a single object.
+        assert stats["subject->object"].trials == stats["object->subject"].trials == 10_020
+        assert stats["object->object"].trials == 10_020 - 1_002
+    for kinds, st in stats.items():
+        assert (st.forward_agree, st.backward_agree) == (st.trials, st.trials), kinds
+        assert st.faithful_mismatches == 0, kinds
+        assert st.bound_violations == 0, kinds
+        assert st.duality_mismatches == 0, kinds
 
 
 def test_criterion_4_termination_bound(exhaustive_sweep, random_sweep):

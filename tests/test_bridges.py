@@ -5,6 +5,7 @@ from hypothesis import given, settings
 
 from takegrant import (
     Direction,
+    RandomGraphSpec,
     Right,
     SameIslandError,
     SameVertexError,
@@ -18,6 +19,7 @@ from takegrant import (
     enumerate_t_arc_graphs,
     find_bridge_path,
     parse_graph,
+    random_graph,
     traversal_set,
     validate_path,
 )
@@ -26,6 +28,7 @@ from helpers import (
     LENGTH2_BRIDGE_TGG,
     chain_graph,
     copy_without_arc,
+    graphs_with_any_endpoints,
     graphs_with_endpoints,
     make_graph,
     t_only_projection,
@@ -156,6 +159,81 @@ class TestSemantics:
         assert report.frontier_trace == ((1, (1, 2)),)
 
 
+def _assert_engines_agree(g, s, f, direction):
+    report = bridge_exists(g, s, f, direction)
+    _assert_well_formed(g, report, s, f)
+    assert bridge_exists_faithful(g, s, f, direction) == report
+    witness = brute_force_bridge(g, s, f, direction)
+    assert report.exists == (witness is not None)
+    return report
+
+
+class TestSaturation:
+    """The frontier engine stops once nothing claimable is left; these
+    graphs put the claimable count at its edge cases.  Every report must
+    still equal the faithful engine's, pass for pass."""
+
+    CASES = {
+        # s reaches a and b; the goal is an object no t arc enters.
+        "isolated sink": (
+            [("s", "s"), ("a", "o"), ("b", "o"), ("sink", "o")],
+            [("s", "a", "t"), ("a", "b", "t"), ("b", "a", "t"), ("b", "s", "t")],
+            "s", "sink",
+        ),
+        # c is entered only from the subject u, which is never expanded,
+        # so the count overestimates and the search ends on an empty pass.
+        "object entered only from a subject": (
+            [("s", "s"), ("u", "s"), ("a", "o"), ("c", "o"), ("f", "s")],
+            [("s", "a", "t"), ("u", "c", "t"), ("c", "u", "t"), ("a", "s", "t")],
+            "s", "f",
+        ),
+        # s is an object that t arcs enter: it must not count as claimable.
+        "object start entered by t arcs": (
+            [("s", "o"), ("x", "o"), ("y", "o"), ("f", "s")],
+            [("x", "s", "t"), ("s", "x", "t"), ("y", "s", "t"), ("s", "y", "t"), ("f", "y", "t")],
+            "s", "f",
+        ),
+        # f is entered only from other subjects, so it is counted but never
+        # claimed; every object is reached in pass 1.
+        "subject goal entered only from subjects": (
+            [("s", "s"), ("u", "s"), ("a", "o"), ("f", "s")],
+            [("s", "a", "t"), ("u", "f", "t"), ("f", "u", "t"), ("a", "u", "t")],
+            "s", "f",
+        ),
+        # The pass that claims the last claimable vertex also reaches f.
+        "goal on the saturating pass": (
+            [("s", "s"), ("a", "o"), ("b", "o"), ("f", "s")],
+            [("s", "a", "t"), ("a", "b", "t"), ("a", "f", "t"), ("b", "s", "t"), ("f", "a", "t")],
+            "s", "f",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    @pytest.mark.parametrize("direction", BOTH, ids=lambda d: d.value)
+    def test_matches_faithful_and_oracle(self, name, direction):
+        vertices, edges, s_name, f_name = self.CASES[name]
+        g = make_graph(vertices, edges)
+        s, f = g.vertex_id(s_name), g.vertex_id(f_name)
+        _assert_engines_agree(g, s, f, direction)
+        _assert_engines_agree(g, f, s, direction)
+
+    def test_isolated_sink_ends_on_one_empty_pass(self):
+        vertices, edges, _, _ = self.CASES["isolated sink"]
+        g = make_graph(vertices, edges)
+        report = bridge_exists(g, 0, 3)
+        assert report.frontier_trace == ((1, (1,)), (2, (2,)), (3, ()))
+
+    def test_nothing_claimable_gives_one_empty_pass(self):
+        # t arcs join only subjects; no object is entered or left by one.
+        g = make_graph(
+            [("s", "s"), ("u", "s"), ("x", "o"), ("f", "o")],
+            [("s", "u", "t"), ("u", "s", "t"), ("s", "s", "t"), ("s", "x", "g")],
+        )
+        for direction in BOTH:
+            report = _assert_engines_agree(g, 0, 3, direction)
+            assert report.frontier_trace == ((1, ()),)
+
+
 class TestQueriesAfterMutation:
     """Answers track the graph as it grows, whatever was queried before."""
 
@@ -224,6 +302,33 @@ class TestBetweenIslands:
         islands = compute_islands(g)
         assert bridges_between_islands(g, islands[0], islands[1]) == []
 
+    def test_seeded_sweep_matches_per_pair_faithful_loop(self):
+        # Random graphs whose t/g arcs between subjects build multi-member
+        # islands; the oracle is one faithful search per ordered pair.
+        multi_member_pairs = 0  # both islands have two or more members
+        multi_goal_hits = 0  # one call found bridges into two or more members
+        for seed in range(300):
+            spec = RandomGraphSpec(4 + seed % 6, 2 + seed % 7, 0.06 + 0.02 * (seed % 6),
+                                   frozenset({Right.T, Right.G}), seed=90_000 + seed)
+            g = random_graph(spec)
+            islands = compute_islands(g)
+            for a in islands:
+                for b in islands:
+                    if a.index == b.index:
+                        continue
+                    multi_member_pairs += len(a.members) > 1 and len(b.members) > 1
+                    for direction in BOTH:
+                        expected = []
+                        for s in a.members:
+                            for f in b.members:
+                                report = bridge_exists_faithful(g, s, f, direction)
+                                if report.exists:
+                                    expected.append((s, f, report.path))
+                        assert bridges_between_islands(g, a, b, direction) == expected
+                        multi_goal_hits += len({f for _, f, _ in expected}) > 1
+        assert multi_member_pairs >= 50
+        assert multi_goal_hits >= 20
+
     def test_matches_per_pair_queries(self):
         g = make_graph(
             [("a", "s"), ("b", "s"), ("c", "s"), ("x", "o")],
@@ -273,6 +378,13 @@ class TestProperties:
             assert report.exists == (witness is not None)
             if witness is not None:
                 validate_path(g, witness)
+
+    @given(graphs_with_any_endpoints())
+    @settings(max_examples=200)
+    def test_any_endpoint_kinds_agree_with_oracle_and_faithful(self, case):
+        g, s, f = case
+        for direction in BOTH:
+            _assert_engines_agree(g, s, f, direction)
 
     @given(graphs_with_endpoints())
     @settings(max_examples=150)

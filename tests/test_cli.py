@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import takegrant.cli as cli
-from takegrant import SearchReport, parse_graph
+from takegrant import BridgePath, Direction, RandomGraphSpec, Right, SearchReport, parse_graph, random_graph
 
 from helpers import LENGTH2_BRIDGE_TGG
 
@@ -190,6 +190,57 @@ class TestCheckCommand:
         assert cli.main(["check", "--trials", "5", "--seed", "3"]) == 3
         out = capsys.readouterr().out
         assert out == "0/5 agree\n"
+
+
+    def test_agreeing_audit_prints_nothing_on_stderr(self, capsys):
+        assert cli.main(["check", "--trials", "20", "--seed", "11"]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_first_disagreement_is_named_and_replayable(self, capsys, monkeypatch):
+        # An oracle that errs on its 6th and 8th calls: trial 2 backward,
+        # then trial 3 backward.  Only the first is named.
+        real = cli.brute_force_bridge
+        calls = []
+
+        def flaky(g, s, f, direction):
+            calls.append(g)
+            witness = real(g, s, f, direction)
+            if len(calls) in (6, 8):
+                return None if witness is not None else BridgePath((s, f), direction)
+            return witness
+
+        monkeypatch.setattr(cli, "brute_force_bridge", flaky)
+        argv = ["check", "--trials", "5", "--seed", "40", "--subjects", "3", "--objects", "2", "--p", "0.25"]
+        assert cli.main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "3/5 agree\n"
+        lines = captured.err.splitlines()
+        assert lines == [
+            "first disagreement: seed 42, backward, frontier vs brute force; replay: "
+            "takegrant gen --subjects 3 --objects 2 --p 0.25 --rights tgrw --seed 42"
+        ]
+        replay = lines[0].split("replay: takegrant ", 1)[1].split()
+        assert cli.main(replay) == 0
+        replayed = parse_graph(capsys.readouterr().out)
+        assert replayed == calls[5]
+        assert replayed == random_graph(RandomGraphSpec(3, 2, 0.25, frozenset(Right), 42))
+
+    def test_faithful_disagreement_names_that_pair(self, capsys, monkeypatch):
+        real = cli.bridge_exists_faithful
+
+        def off_by_one(g, s, f, direction):
+            report = real(g, s, f, direction)
+            if direction is Direction.FORWARD:
+                return report
+            return SearchReport(
+                report.exists, report.direction, report.path, report.passes + 1, report.frontier_trace
+            )
+
+        monkeypatch.setattr(cli, "bridge_exists_faithful", off_by_one)
+        assert cli.main(["check", "--trials", "4", "--seed", "9"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "0/4 agree\n"
+        assert captured.err.startswith("first disagreement: seed 9, backward, frontier vs faithful; ")
 
 
 class TestGenCommand:

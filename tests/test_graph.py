@@ -1,17 +1,26 @@
 from __future__ import annotations
 
+import copy
+import re
+
 import pytest
 from hypothesis import given
 
 from takegrant import (
+    Direction,
     DuplicateNameError,
     EmptyRightsError,
     InvalidNameError,
+    InvalidRightError,
     ParseError,
     ProtectionGraph,
     Right,
+    TakeGrantError,
     UnknownVertexError,
     VertexKind,
+    bridge_exists,
+    bridges_between_islands,
+    compute_islands,
     new_graph,
     parse_graph,
     serialize_graph,
@@ -67,6 +76,21 @@ class TestConstruction:
         g = make_graph([("s", "s"), ("x", "o")])
         with pytest.raises(EmptyRightsError):
             g.add_edge(0, 1, set())
+
+    @pytest.mark.parametrize(
+        "rights, bad",
+        [("t", "'t'"), ([Right.T, "g"], "'g'"), ([Right.G, 1], "1"), ([["t"]], "['t']")],
+    )
+    def test_add_edge_rejects_non_right_items(self, rights, bad):
+        g = make_graph([("s", "s"), ("x", "o")], [("x", "s", "g")])
+        before = serialize_graph(g)
+        with pytest.raises(InvalidRightError, match=re.escape(f"{bad} is not a Right")) as caught:
+            g.add_edge(0, 1, rights)
+        assert isinstance(caught.value, TakeGrantError)
+        assert serialize_graph(g) == before
+        assert g.rights_between(0, 1) == frozenset()
+        assert g.out_neighbors_with_right(0, Right.T) == []
+        assert not bridge_exists(g, 0, 1).exists
 
     def test_add_edge_unknown_vertex(self):
         g = make_graph([("s", "s")])
@@ -128,8 +152,8 @@ class TestAdjacency:
 
 
 class TestTIndex:
-    """The take-arc index is built by the first query and dropped by every
-    mutation; callers only ever see copies of it."""
+    """The take-arc lists are kept up to date by every mutation; callers
+    only ever see sorted copies of them, and queries never write."""
 
     def test_returned_lists_are_copies(self):
         g = figure_graph()
@@ -171,6 +195,41 @@ class TestTIndex:
         assert g.out_neighbors_with_right(0, Right.G) == [1, 2]
         assert g.in_neighbors_with_right(2, Right.T) == [0]
         assert g.edge_count == 2
+
+    def test_lists_read_ascending_whatever_the_insertion_order(self):
+        g = make_graph(
+            [("s", "s"), ("a", "o"), ("b", "o"), ("c", "o")],
+            [("s", "c", "t"), ("c", "a", "t"), ("s", "a", "t"), ("b", "a", "t"), ("s", "b", "t")],
+        )
+        assert g.out_neighbors_with_right(0, Right.T) == [1, 2, 3]
+        assert g.in_neighbors_with_right(1, Right.T) == [0, 2, 3]
+        rev = g.reverse()
+        assert rev.in_neighbors_with_right(0, Right.T) == [1, 2, 3]
+        assert rev.out_neighbors_with_right(1, Right.T) == [0, 2, 3]
+
+    def test_repeated_t_arc_listed_once(self):
+        g = make_graph([("s", "s"), ("x", "o")], [("s", "x", "t"), ("s", "x", "tg"), ("s", "x", "r")])
+        assert g.out_neighbors_with_right(0, Right.T) == [1]
+        assert g.in_neighbors_with_right(1, Right.T) == [0]
+
+    @given(graphs(rights=(Right.T, Right.G)))
+    def test_queries_never_write(self, g):
+        before = copy.deepcopy(vars(g))
+        n = g.vertex_count
+        for direction in Direction:
+            for s in range(n):
+                for f in range(n):
+                    if s != f:
+                        bridge_exists(g, s, f, direction)
+            islands = compute_islands(g)
+            for a in islands:
+                for b in islands:
+                    if a.index != b.index:
+                        bridges_between_islands(g, a, b, direction)
+        for v in range(n):
+            g.out_neighbors_with_right(v, Right.T)
+            g.in_neighbors_with_right(v, Right.T)
+        assert vars(g) == before
 
 
 class TestReverse:
