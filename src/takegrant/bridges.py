@@ -13,10 +13,12 @@ frontier and looks at each vertex's arcs once, which is the right tool
 for real queries.  ``bridge_exists_faithful`` re-scans every arc
 incident to the whole reached set on every pass -- deliberately wasteful
 (cubic in the vertex count) but a more literal rendering of the same
-pass structure, kept so the two can be checked against each other.
-They must return identical reports on every input; the test suite
-enforces this exhaustively on small graphs and statistically on large
-random ones.
+pass structure, kept so the two can be checked against each other.  It
+reads only the graph's rights masks (those of ``g.reverse()`` for
+``t<-*``), never the t-lists the frontier engine walks, so a drift
+between the two stores shows up as a disagreement.  They must return
+identical reports on every input; the test suite enforces this
+exhaustively on small graphs and statistically on large random ones.
 
 The frontier engine is one search core, ``_search``, that reads the
 t-lists the graph keeps up to date on insert and never writes to the
@@ -49,12 +51,12 @@ non-final pass moves at least one vertex out of the unreached set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Collection
 
 from .errors import InvariantViolationError, SameIslandError, SameVertexError
-from .graph import ProtectionGraph, Right, VertexId, VertexKind
+from .graph import _T, ProtectionGraph, Right, VertexId, VertexKind
 from .islands import Island
 
 _OBJECT = VertexKind.OBJECT
@@ -99,31 +101,6 @@ class SearchReport:
     path: BridgePath | None
     passes: int
     frontier_trace: tuple[tuple[int, tuple[VertexId, ...]], ...]
-
-
-@dataclass
-class _SearchState:
-    """The faithful engine's partition of the traversal set.
-
-    ``reached`` and ``unreached`` are disjoint and together cover the
-    traversal set; ``predecessor`` maps every reached vertex except the
-    start to the vertex whose arc first claimed it.
-    """
-
-    reached: set[VertexId]
-    unreached: set[VertexId]
-    passes: int = 0
-    predecessor: dict[VertexId, VertexId] = field(default_factory=dict)
-
-    @classmethod
-    def initial(cls, traversal: set[VertexId], start: VertexId) -> _SearchState:
-        return cls(reached={start}, unreached=set(traversal) - {start})
-
-    def move(self, v: VertexId, via: VertexId) -> None:
-        """Transfer v from unreached to reached, claimed through *via*."""
-        self.unreached.discard(v)
-        self.reached.add(v)
-        self.predecessor[v] = via
 
 
 def traversal_set(g: ProtectionGraph, s: VertexId, f: VertexId) -> set[VertexId]:
@@ -239,9 +216,7 @@ def bridge_exists(
     """
     check_query(g, s, f)
     pred, trace = _search(g, s, (f,), direction)
-    if f in pred:
-        return _success(pred, len(trace), trace, direction, s, f)
-    return _failure(len(trace), trace, direction)
+    return _report(pred, trace, direction, s, f)
 
 
 def bridge_exists_faithful(
@@ -252,41 +227,45 @@ def bridge_exists_faithful(
 ) -> SearchReport:
     """Same contract as ``bridge_exists``; literal re-scanning engine.
 
-    Every pass walks every arc incident to every vertex reached at pass
+    Every pass walks every arc leaving every vertex reached at pass
     start and picks out the t-labelled ones whose far endpoint is still
-    unreached.  Worst case: vertex-count passes, each reviewing every
-    arc of an almost fully reached graph.
+    unreached.  It reads only the graph's rights masks, never the
+    t-lists: a ``t<-*`` walk on *g* is a ``t->*`` walk on ``g.reverse()``,
+    vertex for vertex, so one loop serves both directions.  Worst case:
+    vertex-count passes, each reviewing every arc of an almost fully
+    reached graph.
     """
     check_query(g, s, f)
-    state = _SearchState.initial(traversal_set(g, s, f), s)
-    arcs = g.out_arcs if direction is Direction.FORWARD else g.in_arcs
+    arcs = (g if direction is Direction.FORWARD else g.reverse())._out
+    reached = {s}
+    unreached = traversal_set(g, s, f) - reached
+    predecessor: dict[VertexId, VertexId] = {}
     trace: list[tuple[int, tuple[VertexId, ...]]] = []
     while True:
-        state.passes += 1
         added: list[VertexId] = []
-        for v in sorted(state.reached):  # snapshot before the pass mutates it
-            for w, rights in arcs(v):
-                if Right.T in rights and w in state.unreached:
-                    state.move(w, via=v)
+        for v in sorted(reached):  # snapshot before the pass grows it
+            for w, mask in sorted(arcs[v].items()):
+                if mask & _T and w in unreached:
+                    unreached.discard(w)
+                    reached.add(w)
+                    predecessor[w] = v
                     added.append(w)
         added.sort()
-        trace.append((state.passes, tuple(added)))
-        if f in state.reached:
-            return _success(state.predecessor, state.passes, trace, direction, s, f)
-        if not added:
-            return _failure(state.passes, trace, direction)
+        trace.append((len(trace) + 1, tuple(added)))
+        if f in reached or not added:
+            return _report(predecessor, trace, direction, s, f)
 
 
-def _success(
-    predecessor: dict[VertexId, VertexId],
-    passes: int,
+def _report(
+    pred: dict[VertexId, VertexId],
     trace: list[tuple[int, tuple[VertexId, ...]]],
     direction: Direction,
     s: VertexId,
     f: VertexId,
 ) -> SearchReport:
-    path = _path(predecessor, s, f, direction)
-    return SearchReport(True, direction, path, passes, tuple(trace))
+    """The report of a search that ended with *pred* and *trace*."""
+    path = _path(pred, s, f, direction) if f in pred else None
+    return SearchReport(path is not None, direction, path, len(trace), tuple(trace))
 
 
 def _path(
@@ -299,14 +278,6 @@ def _path(
         vertices.append(v)
     vertices.reverse()
     return BridgePath(tuple(vertices), direction)
-
-
-def _failure(
-    passes: int,
-    trace: list[tuple[int, tuple[VertexId, ...]]],
-    direction: Direction,
-) -> SearchReport:
-    return SearchReport(False, direction, None, passes, tuple(trace))
 
 
 def find_bridge_path(

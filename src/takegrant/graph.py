@@ -25,14 +25,19 @@ non-empty words over ``t g r w``; repeated letters are ignored.
 order, edges sorted by endpoint ids, rights in ``tgrw`` order), so
 serialize -> parse -> serialize is byte-identical.
 
+Input hygiene: CRLF line endings are accepted and parse to the same
+graph as LF, because a carriage return is whitespace to the tokenizer.
+A UTF-8 byte-order mark is not stripped, so such a file fails with
+``expected header 'tgg 1'`` on line 1 (the CLI exits 2).
+
 Vertex ids are dense integers in declaration order.  They are an
 internal handle: every external format speaks vertex names.
 
-Each arc stores its rights as a 4-bit mask, one bit per right in
-``RIGHT_ORDER`` (t=1, g=2, r=4, w=8); ``Right`` values appear only at
-the API and text-format boundary.  The take arcs, which every bridge
-search walks, are also kept as per-vertex successor and predecessor
-lists, appended to when an arc first gains ``t``.
+Each arc is stored once, as a 4-bit rights mask in its source's dict,
+one bit per right in ``RIGHT_ORDER`` (t=1, g=2, r=4, w=8); ``Right``
+values appear only at the API and text-format boundary.  The take arcs,
+which every bridge search walks, are also kept as per-vertex successor
+and predecessor lists, appended to when an arc first gains ``t``.
 """
 
 from __future__ import annotations
@@ -106,22 +111,25 @@ class Edge:
 class ProtectionGraph:
     """Directed rights-labelled graph over named subject/object vertices.
 
-    Every index is kept up to date by ``add_vertex``/``add_edge``, so a
-    query never writes to the graph: a fully built graph may be shared
-    across threads for reading, while mutation needs exclusive access.
+    Arcs live in one store, ``_out``: a rights-mask dict per vertex, keyed
+    by the arc's target.  The only index over it is the t-lists, the
+    per-vertex t-successor and t-predecessor lists, kept up to date by
+    ``add_vertex``/``add_edge``, so a query never writes to the graph: a
+    fully built graph may be shared across threads for reading, while
+    mutation needs exclusive access.
 
     Inside the package, the frontier engine reads the t-lists, their
-    object counters and ``_kinds`` directly, and the islands code reads
-    ``_subject_tg_links``; nothing outside the package should.
+    object counters and ``_kinds`` directly, the faithful engine re-scans
+    ``_out`` (of ``reverse()`` for backward walks), and the islands code
+    reads ``_subject_tg_links``; nothing outside the package should.
     """
 
     def __init__(self) -> None:
         self._names: list[str] = []
         self._kinds: list[VertexKind] = []
         self._ids: dict[str, VertexId] = {}
-        # Rights masks; _in[dst][src] always equals _out[src][dst].
+        # The one arc store: _out[src][dst] is the rights mask of src -> dst.
         self._out: list[dict[VertexId, int]] = []
-        self._in: list[dict[VertexId, int]] = []
         # Per vertex, the other end of each t arc, in the order the t
         # bit first appeared on the pair (unsorted).
         self._t_succ: list[list[VertexId]] = []
@@ -145,7 +153,6 @@ class ProtectionGraph:
         self._kinds.append(kind)
         self._ids[name] = vid
         self._out.append({})
-        self._in.append({})
         self._t_succ.append([])
         self._t_pred.append([])
         return vid
@@ -165,12 +172,13 @@ class ProtectionGraph:
             self._require(dst)
         mask = 0
         for right in rights:
-            try:
-                mask |= _BIT[right]
-            except (KeyError, TypeError):
+            # A class check and a lookup by letter: hashing the member
+            # itself would call the Python-level Enum.__hash__.
+            if right.__class__ is not Right:
                 raise InvalidRightError(
                     f"arc {self._names[src]} -> {self._names[dst]}: {right!r} is not a Right"
-                ) from None
+                )
+            mask |= _LETTER_BIT[right._value_]
         if not mask:
             raise EmptyRightsError(f"arc {self._names[src]} -> {self._names[dst]} has no rights")
         self._insert(src, dst, mask)
@@ -180,7 +188,6 @@ class ProtectionGraph:
         out = self._out[src]
         old = out.get(dst, 0)
         merged = out[dst] = old | mask
-        self._in[dst][src] = merged
         if (merged ^ old) & _T:
             succ = self._t_succ[src]
             if not succ and self._kinds[src] is _OBJECT:
@@ -233,16 +240,6 @@ class ProtectionGraph:
         self._require(dst)
         return _RIGHTS[self._out[src].get(dst, 0)]
 
-    def out_arcs(self, v: VertexId) -> list[tuple[VertexId, frozenset[Right]]]:
-        """All arcs leaving v as (neighbor, rights), ascending by neighbor id."""
-        self._require(v)
-        return [(w, _RIGHTS[mask]) for w, mask in sorted(self._out[v].items())]
-
-    def in_arcs(self, v: VertexId) -> list[tuple[VertexId, frozenset[Right]]]:
-        """All arcs entering v as (neighbor, rights), ascending by neighbor id."""
-        self._require(v)
-        return [(w, _RIGHTS[mask]) for w, mask in sorted(self._in[v].items())]
-
     def out_neighbors_with_right(self, v: VertexId, right: Right) -> list[VertexId]:
         """Targets of arcs v -> w carrying *right*, in ascending id order."""
         self._require(v)
@@ -252,12 +249,16 @@ class ProtectionGraph:
         return sorted(w for w, mask in self._out[v].items() if mask & bit)
 
     def in_neighbors_with_right(self, v: VertexId, right: Right) -> list[VertexId]:
-        """Sources of arcs w -> v carrying *right*, in ascending id order."""
+        """Sources of arcs w -> v carrying *right*, in ascending id order.
+
+        For ``Right.T`` this reads v's t-predecessor list; any other right
+        scans column v of every vertex's arcs, O(vertices).
+        """
         self._require(v)
         if right is Right.T:
             return sorted(self._t_pred[v])
         bit = _BIT[right]
-        return sorted(w for w, mask in self._in[v].items() if mask & bit)
+        return [w for w, adj in enumerate(self._out) if adj.get(v, 0) & bit]
 
     def edges(self) -> list[Edge]:
         """Every merged arc, sorted by (src, dst)."""
@@ -273,8 +274,10 @@ class ProtectionGraph:
         rev._names = list(self._names)
         rev._kinds = list(self._kinds)
         rev._ids = dict(self._ids)
-        rev._out = [dict(adj) for adj in self._in]
-        rev._in = [dict(adj) for adj in self._out]
+        rev._out = out = [{} for _ in self._out]
+        for src, adj in enumerate(self._out):
+            for dst, mask in adj.items():
+                out[dst][src] = mask
         rev._t_succ = [list(ws) for ws in self._t_pred]
         rev._t_pred = [list(ws) for ws in self._t_succ]
         rev._t_entered_objects = self._t_left_objects

@@ -271,6 +271,29 @@ class TestQueriesAfterMutation:
         assert before[0].path.vertices == (0, 1, 2)
 
 
+class TestOracleIndependence:
+    def test_faithful_engine_reads_no_t_list(self):
+        # The faithful engine re-scans the rights masks only, so a drift
+        # between the t-lists and the masks shows up as a disagreement
+        # with the frontier engine instead of being shared by both.
+        hits = 0
+        for seed in range(40):
+            spec = RandomGraphSpec(2 + seed % 3, 3 + seed % 5, 0.25,
+                                   frozenset({Right.T, Right.G}), seed=70_000 + seed)
+            g = random_graph(spec)
+            n = g.vertex_count
+            queries = [(s, f, d) for d in BOTH for s in range(n) for f in range(n) if s != f]
+            before = [bridge_exists_faithful(g, s, f, d) for s, f, d in queries]
+            for lists in (g._t_succ, g._t_pred):
+                for ws in lists:
+                    ws.clear()
+            assert [bridge_exists_faithful(g, s, f, d) for s, f, d in queries] == before
+            hits += sum(report.exists for report in before)
+            # The emptied lists are the ones the frontier engine walks.
+            assert not any(bridge_exists(g, s, f, d).exists for s, f, d in queries)
+        assert hits >= 1000
+
+
 class TestErrors:
     def test_same_vertex_rejected(self):
         g = figure_graph()

@@ -151,6 +151,28 @@ class TestExitCodeContract:
         assert proc.stderr.startswith("error: input is not valid UTF-8")
         assert proc.stderr.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["bridge", "{}", "s", "f"], ["islands", "{}"], ["bridges", "{}", "0", "1"]],
+        ids=["bridge", "islands", "bridges"],
+    )
+    def test_byte_order_mark_is_usage_error(self, tmp_path, argv):
+        path = tmp_path / "bom.tgg"
+        path.write_bytes(b"\xef\xbb\xbf" + LENGTH2_BRIDGE_TGG.encode())
+        args = [a.format(path) for a in argv]
+        src = Path(cli.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-m", "takegrant.cli", *args],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ")
+        assert "expected header 'tgg 1'" in proc.stderr
+        assert proc.stderr.count("\n") == 1
+
     def test_unexpected_exception_is_internal_error(self, figure_file, capsys, monkeypatch):
         def broken(g):
             raise RuntimeError("boom")
@@ -310,9 +332,16 @@ class TestBenchCommand:
 
     @pytest.mark.slow
     def test_faithful_nanos_grow_with_size(self, capsys):
-        assert cli.main(["bench", "--sizes", "100,200,400", "--variant", "faithful"]) == 0
-        lines = capsys.readouterr().out.splitlines()[1:]
-        nanos = [int(line.split(",")[4]) for line in lines]
+        # One wall-clock mean per size is at the mercy of CPU-speed swings;
+        # interleave five rounds over the sizes and keep each size's minimum.
+        sizes = (100, 200, 400)
+        runs: dict[int, list[int]] = {n: [] for n in sizes}
+        for _ in range(5):
+            for n in sizes:
+                assert cli.main(["bench", "--sizes", str(n), "--variant", "faithful"]) == 0
+                (line,) = capsys.readouterr().out.splitlines()[1:]
+                runs[n].append(int(line.split(",")[4]))
+        nanos = [min(runs[n]) for n in sizes]
         assert nanos == sorted(nanos) and len(set(nanos)) == 3
 
     def test_empty_sizes_rejected(self):

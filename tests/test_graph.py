@@ -19,7 +19,9 @@ from takegrant import (
     UnknownVertexError,
     VertexKind,
     bridge_exists,
+    bridge_exists_faithful,
     bridges_between_islands,
+    brute_force_bridge,
     compute_islands,
     new_graph,
     parse_graph,
@@ -221,6 +223,8 @@ class TestTIndex:
                 for f in range(n):
                     if s != f:
                         bridge_exists(g, s, f, direction)
+                        bridge_exists_faithful(g, s, f, direction)
+                        brute_force_bridge(g, s, f, direction)
             islands = compute_islands(g)
             for a in islands:
                 for b in islands:
@@ -246,6 +250,22 @@ class TestReverse:
     @given(graphs())
     def test_reverse_is_involution(self, g):
         assert g.reverse().reverse() == g
+
+    @given(graphs())
+    def test_reverse_matches_graph_built_from_flipped_edges(self, g):
+        fresh = ProtectionGraph()
+        for v in range(g.vertex_count):
+            fresh.add_vertex(g.vertex_name(v), g.vertex_kind(v))
+        for edge in g.edges():
+            fresh.add_edge(edge.dst, edge.src, edge.rights)
+        rev = g.reverse()
+        assert rev.edges() == fresh.edges()
+        for v in range(g.vertex_count):
+            for right in Right:
+                assert rev.out_neighbors_with_right(v, right) == fresh.out_neighbors_with_right(v, right)
+                assert rev.in_neighbors_with_right(v, right) == fresh.in_neighbors_with_right(v, right)
+        assert rev._t_entered_objects == fresh._t_entered_objects
+        assert rev._t_left_objects == fresh._t_left_objects
 
 
 class TestParse:
@@ -292,6 +312,15 @@ class TestParse:
     def test_bad_name(self):
         with pytest.raises(ParseError):
             parse_graph("tgg 1\nsubject s*t\n")
+
+    def test_crlf_parses_like_lf(self):
+        text = "tgg 1\n# note\n\nsubject s\nobject x\nsubject f\nedge s x t\nedge x f tg\n"
+        assert parse_graph(text.replace("\n", "\r\n")) == parse_graph(text)
+
+    def test_byte_order_mark_rejected_as_bad_header(self):
+        with pytest.raises(ParseError, match="expected header 'tgg 1'") as exc:
+            parse_graph("\ufeff" + LENGTH2_BRIDGE_TGG)
+        assert exc.value.line == 1
 
     def test_duplicate_rights_letters_ignored(self):
         g = parse_graph("tgg 1\nsubject a\nsubject b\nedge a b ttg\n")
