@@ -51,10 +51,10 @@ non-final pass moves at least one vertex out of the unreached set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Collection
 
+from ._value import Value, set_slot
 from .errors import InvariantViolationError, SameIslandError, SameVertexError
 from .graph import _T, ProtectionGraph, Right, VertexId, VertexKind
 from .islands import Island
@@ -69,8 +69,7 @@ class Direction(Enum):
     BACKWARD = "backward"  # arc (b, a) is walked a -> b, against the arrow
 
 
-@dataclass(frozen=True)
-class BridgePath:
+class BridgePath(Value):
     """Witness path; ``vertices[0]`` is s and ``vertices[-1]`` is f.
 
     Vertices are pairwise distinct, interiors are objects, and each
@@ -78,8 +77,13 @@ class BridgePath:
     ``validate_path`` re-checks all of that against a graph.
     """
 
+    __slots__ = ("vertices", "direction")
     vertices: tuple[VertexId, ...]
     direction: Direction
+
+    def __init__(self, vertices: tuple[VertexId, ...], direction: Direction) -> None:
+        set_slot(self, "vertices", vertices)
+        set_slot(self, "direction", direction)
 
     @property
     def length(self) -> int:
@@ -87,8 +91,7 @@ class BridgePath:
         return len(self.vertices) - 1
 
 
-@dataclass(frozen=True)
-class SearchReport:
+class SearchReport(Value):
     """Everything one search run decided, as a plain comparable value.
 
     ``frontier_trace`` holds one ``(pass_number, ids_added)`` entry per
@@ -96,11 +99,26 @@ class SearchReport:
     when ``exists``.
     """
 
+    __slots__ = ("exists", "direction", "path", "passes", "frontier_trace")
     exists: bool
     direction: Direction
     path: BridgePath | None
     passes: int
     frontier_trace: tuple[tuple[int, tuple[VertexId, ...]], ...]
+
+    def __init__(
+        self,
+        exists: bool,
+        direction: Direction,
+        path: BridgePath | None,
+        passes: int,
+        frontier_trace: tuple[tuple[int, tuple[VertexId, ...]], ...],
+    ) -> None:
+        set_slot(self, "exists", exists)
+        set_slot(self, "direction", direction)
+        set_slot(self, "path", path)
+        set_slot(self, "passes", passes)
+        set_slot(self, "frontier_trace", frontier_trace)
 
 
 def traversal_set(g: ProtectionGraph, s: VertexId, f: VertexId) -> set[VertexId]:

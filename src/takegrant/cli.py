@@ -5,13 +5,14 @@ found), 1 query answered negative, 2 usage or input error (including
 input that is not UTF-8), 3 internal invariant violation or any other
 unexpected failure.  A crash must never exit 1, which would read as
 "no bridge".  Every subcommand that reads a graph accepts a file path
-or ``-`` for stdin.
+or ``-`` for stdin, which is decoded as a file is (strict UTF-8,
+universal newlines).
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import io
 import sys
 import time
 from pathlib import Path
@@ -46,8 +47,16 @@ _BENCH_TRIALS = 3
 
 
 def _read_graph(path: str) -> ProtectionGraph:
-    text = sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
-    return parse_graph(text)
+    if path != "-":
+        return parse_graph(Path(path).read_text(encoding="utf-8"))
+    stdin = sys.stdin
+    if isinstance(stdin, io.TextIOWrapper):
+        # A byte stream: decode it as a file is decoded (strict UTF-8,
+        # universal newlines); under the C locale it would otherwise pass
+        # bad bytes through as surrogate escapes.  A stream of str, such
+        # as io.StringIO, has nothing to decode.
+        stdin.reconfigure(encoding="utf-8", errors="strict", newline=None)
+    return parse_graph(stdin.read())
 
 
 def _direction(args: argparse.Namespace) -> Direction:
@@ -86,6 +95,8 @@ def _cmd_bridge(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
     if args.json:
+        import json  # here only: most calls print no JSON, and importing it costs start-up time
+
         print(json.dumps(report_to_jsonable(g, report)))
     else:
         arrow = "t->*" if direction is Direction.FORWARD else "t<-*"

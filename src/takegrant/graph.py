@@ -43,10 +43,10 @@ and predecessor lists, appended to when an arc first gains ``t``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator
 
+from ._value import Value, set_slot
 from .errors import (
     DuplicateNameError,
     EmptyRightsError,
@@ -99,13 +99,18 @@ _RIGHTS = tuple(
 _LETTERS = tuple("".join(right.value for right in RIGHT_ORDER if right in rs) for rs in _RIGHTS)
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(Value):
     """One merged arc: all rights the ordered pair (src, dst) carries."""
 
+    __slots__ = ("src", "dst", "rights")
     src: VertexId
     dst: VertexId
     rights: frozenset[Right]
+
+    def __init__(self, src: VertexId, dst: VertexId, rights: frozenset[Right]) -> None:
+        set_slot(self, "src", src)
+        set_slot(self, "dst", dst)
+        set_slot(self, "rights", rights)
 
 
 class ProtectionGraph:
@@ -328,14 +333,14 @@ def parse_graph(text: str) -> ProtectionGraph:
         raise ParseError(1, f"expected header {TGG_HEADER!r}")
     g = ProtectionGraph()
     ids = g._ids
+    insert = g._insert
+    # Mask of each rights word seen so far in this text.  A word with a
+    # bad letter raises before it is stored, so it fails on every line.
+    masks: dict[str, int] = {}
     for lineno, raw in enumerate(lines[1:], start=2):
         tokens = raw.split()
-        if not tokens or tokens[0].startswith("#"):
-            continue
-        keyword = tokens[0]
-        if keyword == "edge":
-            if len(tokens) != 4:
-                raise ParseError(lineno, "expected 'edge <from> <to> <rights>'")
+        # Well-formed edge lines first: they are almost every line.
+        if len(tokens) == 4 and tokens[0] == "edge":
             _, src_name, dst_name, rights_word = tokens
             src = ids.get(src_name)
             if src is None:
@@ -343,13 +348,22 @@ def parse_graph(text: str) -> ProtectionGraph:
             dst = ids.get(dst_name)
             if dst is None:
                 raise ParseError(lineno, f"unknown vertex {dst_name!r}")
-            mask = 0
-            for ch in rights_word:
-                bit = _LETTER_BIT.get(ch)
-                if bit is None:
-                    raise ParseError(lineno, f"bad right letter {ch!r}")
-                mask |= bit
-            g._insert(src, dst, mask)
+            mask = masks.get(rights_word)
+            if mask is None:
+                mask = 0
+                for ch in rights_word:
+                    bit = _LETTER_BIT.get(ch)
+                    if bit is None:
+                        raise ParseError(lineno, f"bad right letter {ch!r}")
+                    mask |= bit
+                masks[rights_word] = mask
+            insert(src, dst, mask)
+            continue
+        if not tokens or tokens[0].startswith("#"):
+            continue
+        keyword = tokens[0]
+        if keyword == "edge":
+            raise ParseError(lineno, "expected 'edge <from> <to> <rights>'")
         elif keyword in ("subject", "object"):
             if len(tokens) != 2:
                 raise ParseError(lineno, f"expected '{keyword} <name>'")

@@ -8,18 +8,21 @@ business of bridge search, not of island membership.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._value import Value, set_slot
 from .errors import NotASubjectError
 from .graph import ProtectionGraph, VertexId, VertexKind
 
 
-@dataclass(frozen=True)
-class Island:
+class Island(Value):
     """One partition class; members are ascending subject ids."""
 
+    __slots__ = ("index", "members")
     index: int
     members: tuple[VertexId, ...]
+
+    def __init__(self, index: int, members: tuple[VertexId, ...]) -> None:
+        set_slot(self, "index", index)
+        set_slot(self, "members", members)
 
 
 class _UnionFind:

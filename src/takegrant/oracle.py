@@ -10,9 +10,9 @@ seeded SplitMix64 stream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
+from ._value import Value, set_slot
 from .bridges import BridgePath, Direction, check_query, traversal_set
 from .errors import EmptySpecError, TooLargeError
 from .graph import RIGHT_ORDER, ProtectionGraph, Right, VertexId, VertexKind
@@ -24,19 +24,33 @@ _MASK64 = (1 << 64) - 1
 _ENUMERATION_CAP = 5
 
 
-@dataclass(frozen=True)
-class RandomGraphSpec:
+class RandomGraphSpec(Value):
     """Parameters that fully determine one generated graph.
 
     Every (ordered pair, right) candidate is included independently
     with ``arc_probability``; same spec, same graph, bit for bit.
     """
 
+    __slots__ = ("n_subjects", "n_objects", "arc_probability", "rights_pool", "seed")
     n_subjects: int
     n_objects: int
     arc_probability: float
-    rights_pool: frozenset[Right] = frozenset({Right.T})
-    seed: int = 0
+    rights_pool: frozenset[Right]
+    seed: int
+
+    def __init__(
+        self,
+        n_subjects: int,
+        n_objects: int,
+        arc_probability: float,
+        rights_pool: frozenset[Right] = frozenset({Right.T}),
+        seed: int = 0,
+    ) -> None:
+        set_slot(self, "n_subjects", n_subjects)
+        set_slot(self, "n_objects", n_objects)
+        set_slot(self, "arc_probability", arc_probability)
+        set_slot(self, "rights_pool", rights_pool)
+        set_slot(self, "seed", seed)
 
 
 class SplitMix64:

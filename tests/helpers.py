@@ -144,3 +144,37 @@ def graphs_with_any_endpoints(draw):
     s = draw(st.integers(0, g.vertex_count - 1))
     f = draw(st.integers(0, g.vertex_count - 1).filter(lambda v: v != s))
     return g, s, f
+
+
+NAMES = st.from_regex(r"[A-Za-z0-9_.-]{1,4}", fullmatch=True)
+
+
+@st.composite
+def tgg_documents(draw, names=NAMES, max_vertices=6, max_edges=14):
+    """Valid TGG text plus the statements it declares.
+
+    Returns ``(text, vertices, edges)``: *vertices* lists ``(name, kind)``
+    in declaration order and *edges* ``(src, dst, rights_word)`` in
+    statement order.  Rights words may repeat letters.  Blank and comment
+    lines are mixed in, tokens are separated by runs of spaces or tabs,
+    and the line ending is LF or CRLF throughout.
+    """
+    declared = draw(st.lists(names, unique=True, max_size=max_vertices))
+    vertices = [(name, draw(st.sampled_from(VertexKind))) for name in declared]
+    edges = []
+    if declared:
+        ends = st.sampled_from(declared)
+        words = st.text("tgrw", min_size=1, max_size=5)
+        edges = draw(st.lists(st.tuples(ends, ends, words), max_size=max_edges))
+    statements = [f"{kind.value} {name}" for name, kind in vertices]
+    statements += [f"edge {src} {dst} {word}" for src, dst, word in edges]
+    filler = st.sampled_from(["", "#", "# note", "#edge a b t", "  # indented", " \t "])
+    blank = st.sampled_from([" ", "  ", "\t", " \t"])
+    lines = ["tgg 1"]
+    for statement in statements:
+        lines += draw(st.lists(filler, max_size=2))
+        lead = draw(st.sampled_from(["", " ", "\t"]))
+        lines.append(lead + statement.replace(" ", draw(blank)))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    text = eol.join(lines) + draw(st.sampled_from(["", eol]))
+    return text, vertices, edges

@@ -5,14 +5,37 @@ import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import takegrant.cli as cli
-from takegrant import BridgePath, Direction, RandomGraphSpec, Right, SearchReport, parse_graph, random_graph
+from takegrant import (
+    BridgePath,
+    Direction,
+    ParseError,
+    RandomGraphSpec,
+    Right,
+    SearchReport,
+    parse_graph,
+    random_graph,
+)
 
-from helpers import LENGTH2_BRIDGE_TGG
+from helpers import LENGTH2_BRIDGE_TGG, tgg_documents
+
+SRC = str(Path(cli.__file__).resolve().parents[1])
+
+
+def run_cli(args, stdin=b"", env=None):
+    """Run ``python -m takegrant.cli`` on this checkout; bytes in and out."""
+    return subprocess.run(
+        [sys.executable, "-m", "takegrant.cli", *args],
+        env={**os.environ, "PYTHONPATH": SRC} if env is None else env,
+        input=stdin, capture_output=True, timeout=60,
+    )
 
 
 @pytest.fixture
@@ -173,6 +196,43 @@ class TestExitCodeContract:
         assert "expected header 'tgg 1'" in proc.stderr
         assert proc.stderr.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["bridge", "-", "a", "b"], ["islands", "-"], ["bridges", "-", "0", "1"]],
+        ids=["bridge", "islands", "bridges"],
+    )
+    def test_non_utf8_stdin_is_usage_error(self, argv):
+        # Under the C locale, sys.stdin decodes with surrogateescape and
+        # would accept the bad byte.
+        env = {k: v for k, v in os.environ.items() if k not in ("PYTHONIOENCODING", "PYTHONUTF8")}
+        env.update(PYTHONPATH=SRC, LC_ALL="C")
+        proc = run_cli(argv, stdin=b"tgg 1\n# caf\xe9\nsubject a\nsubject b\n", env=env)
+        err = proc.stderr.decode()
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        assert "Traceback" not in err
+        assert err.startswith("error: input is not valid UTF-8")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"tgg 1\nsubject s\nobject x\nsubject \xff\n",
+            LENGTH2_BRIDGE_TGG.replace("\n", "\r\n").encode(),
+            LENGTH2_BRIDGE_TGG.replace("\n", "\r").encode(),
+        ],
+        ids=["non_utf8", "crlf", "lone_cr"],
+    )
+    def test_stdin_reads_like_a_file(self, tmp_path, data):
+        path = tmp_path / "in.tgg"
+        path.write_bytes(data)
+        for argv in (["bridge", "{}", "s", "f"], ["islands", "{}"], ["bridges", "{}", "0", "1"]):
+            by_path = run_cli([a.format(path) for a in argv])
+            by_stdin = run_cli([a.format("-") for a in argv], stdin=data)
+            assert by_stdin.returncode == by_path.returncode
+            assert by_stdin.stdout == by_path.stdout
+            assert by_stdin.stderr == by_path.stderr
+
     def test_unexpected_exception_is_internal_error(self, figure_file, capsys, monkeypatch):
         def broken(g):
             raise RuntimeError("boom")
@@ -180,6 +240,64 @@ class TestExitCodeContract:
         monkeypatch.setattr(cli, "compute_islands", broken)
         assert cli.main(["islands", figure_file]) == 3
         assert capsys.readouterr().err == "internal error: RuntimeError: boom\n"
+
+
+def _mutated(data: bytes, edits) -> bytes:
+    """Apply (kind, position, byte) edits: replace, insert or delete one byte."""
+    buf = bytearray(data)
+    for kind, pos, byte in edits:
+        i = pos % (len(buf) + 1)
+        if kind == "insert":
+            buf[i:i] = bytes([byte])
+        elif buf and kind == "replace":
+            buf[min(i, len(buf) - 1)] = byte
+        elif buf:
+            del buf[min(i, len(buf) - 1)]
+    return bytes(buf)
+
+
+_EDITS = st.lists(
+    st.tuples(st.sampled_from(["replace", "insert", "delete"]), st.integers(0, 10**6),
+              st.integers(0, 255)),
+    min_size=1, max_size=4,
+)
+_NAMES = st.sampled_from(["a", "b", "c", "d", "e"])
+_FUZZ_INPUTS = st.one_of(
+    st.binary(max_size=120),
+    st.builds(lambda doc, edits: _mutated(doc[0].encode(), edits), tgg_documents(names=_NAMES), _EDITS),
+    st.builds(lambda doc: doc[0].encode(), tgg_documents(names=_NAMES)),
+)
+
+
+class TestByteFuzz:
+    """Any bytes keep the exit-code contract: 0 and 1 only for text that
+    parses, 2 for everything else, never a crash."""
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        data=_FUZZ_INPUTS,
+        argv=st.sampled_from([["islands"], ["bridge", "a", "b"], ["bridge", "a", "b", "--backward"],
+                              ["bridges", "0", "1"]]),
+    )
+    def test_exit_code_contract(self, tmp_path, data, argv):
+        path = tmp_path / "fuzz.tgg"
+        path.write_bytes(data)
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main([argv[0], str(path), *argv[1:]])
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        assert "internal error" not in err.getvalue()
+        try:
+            parse_graph(path.read_text(encoding="utf-8"))
+            parsed = True
+        except (UnicodeDecodeError, ParseError):
+            parsed = False
+        if code in (0, 1):
+            assert parsed
+        else:
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
 
 
 class TestCheckCommand:
@@ -354,6 +472,19 @@ class TestBenchCommand:
 
 
 class TestParserPlumbing:
+    def test_import_pulls_in_no_dataclasses_inspect_or_json(self):
+        # -S keeps site-packages .pth imports out of sys.modules.
+        code = (
+            "import sys, takegrant.cli; "
+            "print(' '.join(m for m in ('dataclasses', 'inspect', 'json') if m in sys.modules))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", code],
+            env={**os.environ, "PYTHONPATH": SRC}, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "\n"
+
     def test_missing_subcommand(self):
         with pytest.raises(SystemExit) as exc:
             cli.main([])

@@ -28,7 +28,7 @@ from takegrant import (
     serialize_graph,
 )
 
-from helpers import LENGTH2_BRIDGE_TGG, graphs, make_graph
+from helpers import LENGTH2_BRIDGE_TGG, graphs, make_graph, tgg_documents
 
 
 def figure_graph():
@@ -330,6 +330,63 @@ class TestParse:
         g = parse_graph("tgg 1\nsubject a\nsubject b\nedge a b t\nedge a b r\n")
         assert g.rights_between(0, 1) == {Right.T, Right.R}
         assert g.edge_count == 1
+
+
+# Malformed inputs with the exact ParseError line and message the
+# parser gave before its edge fast path and rights-word cache.
+_HEAD = "tgg 1\nsubject a\nobject b\n"
+MALFORMED = [
+    ("edge_3_tokens", _HEAD + "edge a b\n", 4, "expected 'edge <from> <to> <rights>'"),
+    ("edge_5_tokens", _HEAD + "edge a b t g\n", 4, "expected 'edge <from> <to> <rights>'"),
+    ("edge_alone", _HEAD + "edge\n", 4, "expected 'edge <from> <to> <rights>'"),
+    ("trailing_comment", _HEAD + "edge a b t # note\n", 4, "expected 'edge <from> <to> <rights>'"),
+    ("hash_glued_to_edge", _HEAD + "#edge a b t\nedge a b q\n", 5, "bad right letter 'q'"),
+    ("indented_comment", _HEAD + "  # x\nedge a c t\n", 5, "unknown vertex 'c'"),
+    ("unknown_keyword", _HEAD + "vertex c\n", 4, "unknown keyword 'vertex'"),
+    ("unknown_source_bad_rights", _HEAD + "edge c b tx\n", 4, "unknown vertex 'c'"),
+    ("unknown_target_bad_rights", _HEAD + "edge a c qq\n", 4, "unknown vertex 'c'"),
+    ("same_bad_word_twice", _HEAD + "edge a b tx\nedge b a tx\n", 4, "bad right letter 'x'"),
+    ("bad_word_after_valid_prefix", _HEAD + "edge a b tg\nedge b a tgx\n", 5, "bad right letter 'x'"),
+    (
+        "bad_word_among_valid_words",
+        _HEAD + "edge a b tg\nedge b a gt\nedge a a tgz\nedge b b tg\n",
+        6,
+        "bad right letter 'z'",
+    ),
+    ("crlf_bad_rights", (_HEAD + "edge a b t\nedge b a tx\n").replace("\n", "\r\n"), 5,
+     "bad right letter 'x'"),
+    ("crlf_edge_3_tokens", (_HEAD + "edge a b\n").replace("\n", "\r\n"), 4,
+     "expected 'edge <from> <to> <rights>'"),
+]
+
+
+class TestParseErrors:
+    @pytest.mark.parametrize(
+        "text, line, reason", [case[1:] for case in MALFORMED], ids=[case[0] for case in MALFORMED]
+    )
+    def test_error_line_and_message(self, text, line, reason):
+        with pytest.raises(ParseError) as exc:
+            parse_graph(text)
+        assert (exc.value.line, exc.value.reason) == (line, reason)
+        assert str(exc.value) == f"line {line}: {reason}"
+
+    def test_rights_words_are_not_remembered_across_parses(self):
+        bad = _HEAD + "edge a b tg\nedge a b tgx\n"
+        for _ in range(2):
+            with pytest.raises(ParseError, match="line 5: bad right letter 'x'"):
+                parse_graph(bad)
+        g = parse_graph(_HEAD + "edge a b tg\nedge b a tg\n")
+        assert g.rights_between(0, 1) == g.rights_between(1, 0) == {Right.T, Right.G}
+
+    @given(tgg_documents())
+    def test_parse_equals_graph_built_statement_by_statement(self, document):
+        text, vertices, edges = document
+        g = ProtectionGraph()
+        for name, kind in vertices:
+            g.add_vertex(name, kind)
+        for src, dst, word in edges:
+            g.add_edge(g.vertex_id(src), g.vertex_id(dst), [Right(ch) for ch in word])
+        assert vars(parse_graph(text)) == vars(g)
 
 
 class TestSerialize:
