@@ -26,11 +26,13 @@ graph.  It stops as soon as nothing claimable is left (saturation):
 the graph counts the objects some t arc enters (forward) or leaves
 (backward), so the number of claimable vertices costs O(1) per query,
 and once every one of them is reached the rest of the scan could claim
-nothing.  A query thus costs O(t arcs out of the vertices it scans),
-at most the t arcs out of the reached set.  The core takes a set of
-goals: ``bridge_exists`` is the single-goal case, and
-``bridges_between_islands`` runs one search per source island member
-with every member of the other island as a goal.
+nothing.  Each query keeps its predecessors in a fresh list indexed by
+vertex id, so claiming a vertex is one index and one identity test.
+A query thus costs one O(vertices) list fill, done in C, plus O(t arcs
+out of the vertices it scans), at most the t arcs out of the reached
+set.  The core takes a set of goals: ``bridge_exists`` is the
+single-goal case, and ``bridges_between_islands`` runs one search per
+source island member with every member of the other island as a goal.
 
 Pass semantics, shared by both engines and pinned by the tests:
 
@@ -144,18 +146,18 @@ def _search(
     s: VertexId,
     goals: Collection[VertexId],
     direction: Direction,
-) -> tuple[dict[VertexId, VertexId], list[tuple[int, tuple[VertexId, ...]]]]:
+) -> tuple[list[VertexId | None], list[tuple[int, tuple[VertexId, ...]]]]:
     """The frontier engine: search from *s* until every goal is reached.
 
-    Returns ``(pred, trace)``: ``pred`` maps each reached vertex to the
-    vertex whose arc first claimed it (``s`` maps to itself), and
-    ``trace`` holds one ``(pass_number, ids_added)`` entry per pass.
-    Objects and goals may be claimed; claimed objects are expanded on
-    the next pass, goals never are.  The search ends after the pass
-    that reaches the last goal, after a pass that adds nothing, or as
-    soon as nothing claimable is left (see ``bridge_exists``).  With
-    several goals the t-lists are copied once, O(vertices), so that the
-    goals' own lists read as empty.
+    Returns ``(pred, trace)``: ``pred`` is indexed by vertex id and holds,
+    for each reached vertex, the vertex whose arc first claimed it (``s``
+    holds itself) and ``None`` for every other vertex; ``trace`` holds
+    one ``(pass_number, ids_added)`` entry per pass.  Objects and goals
+    may be claimed; claimed objects are expanded on the next pass, goals
+    never are.  The search ends after the pass that reaches the last
+    goal, after a pass that adds nothing, or as soon as nothing claimable
+    is left (see ``bridge_exists``).  It costs one O(vertices) fill of
+    ``pred`` plus O(t arcs out of the vertices it scans).
     """
     if direction is Direction.FORWARD:
         step, into, entered = g._t_succ, g._t_pred, g._t_entered_objects
@@ -170,15 +172,15 @@ def _search(
     for f in goals:
         if kinds[f] is not _OBJECT and into[f]:
             remaining += 1
-    # Goals are claimed, never expanded.  A single goal ends the search
-    # in the pass that claims it, so only several goals need the copy.
-    if len(goals) > 1:
-        step = list(step)
-        for f in goals:
-            step[f] = ()
+    # A single goal ends the search in the pass that claims it, so only
+    # several goals need claimed goals taken out of the next frontier.
+    several = len(goals) > 1
     pending = list(goals)
     goal = pending.pop()  # the goal each pass end checks first
-    pred: dict[VertexId, VertexId] = {s: s}
+    # One slot per vertex: a C-level fill, and a claim test that is one
+    # index and one identity check instead of a dict lookup.
+    pred: list[VertexId | None] = [None] * len(kinds)
+    pred[s] = s
     trace: list[tuple[int, tuple[VertexId, ...]]] = []
     frontier: list[VertexId] = [s] if remaining else []
     passes = 0
@@ -187,7 +189,7 @@ def _search(
         added: list[VertexId] = []
         for v in frontier:
             for w in step[v]:
-                if w not in pred and (kinds[w] is _OBJECT or w in goals):
+                if pred[w] is None and (kinds[w] is _OBJECT or w in goals):
                     pred[w] = v
                     added.append(w)
                     remaining -= 1
@@ -200,12 +202,15 @@ def _search(
             frontier = added
         added.sort()
         trace.append((passes, tuple(added)))
-        while goal in pred:
+        while pred[goal] is not None:
             if not pending:
                 return pred, trace
             goal = pending.pop()
         if not added:
             return pred, trace
+        if several:
+            # Goals are claimed, never expanded.
+            frontier = [w for w in frontier if w not in goals]
 
 
 def bridge_exists(
@@ -226,15 +231,16 @@ def bridge_exists(
     is a subject, that some t arc enters in the walk direction -- from
     counters the graph keeps, and stops scanning as soon as that count
     reaches zero, recording the empty pass a full scan would end with.
-    A query therefore costs O(t arcs out of the scanned vertices): at
-    most the t arcs out of the reached set, and on a worst-case miss
-    only up to the arc that claims the last claimable vertex.  This is
-    the single-goal case of the search ``bridges_between_islands`` runs
-    once per source.
+    A query therefore costs one O(vertices) fill of its predecessor list
+    plus O(t arcs out of the vertices it scans): at most the t arcs out
+    of the reached set, and on a worst-case miss only up to the arc that
+    claims the last claimable vertex.  This is the single-goal case of
+    the search ``bridges_between_islands`` runs once per source.
     """
     check_query(g, s, f)
     pred, trace = _search(g, s, (f,), direction)
-    return _report(pred, trace, direction, s, f)
+    path = _path(pred, s, f, direction) if pred[f] is not None else None
+    return SearchReport(path is not None, direction, path, len(trace), tuple(trace))
 
 
 def bridge_exists_faithful(
@@ -287,7 +293,10 @@ def _report(
 
 
 def _path(
-    predecessor: dict[VertexId, VertexId], s: VertexId, f: VertexId, direction: Direction
+    predecessor: dict[VertexId, VertexId] | list[VertexId | None],
+    s: VertexId,
+    f: VertexId,
+    direction: Direction,
 ) -> BridgePath:
     vertices = [f]
     v = f
@@ -329,7 +338,7 @@ def bridges_between_islands(
     for s in island_a.members:
         pred, _ = _search(g, s, goals, direction)
         for f in island_b.members:
-            if f in pred:
+            if pred[f] is not None:
                 found.append((s, f, _path(pred, s, f, direction)))
     return found
 

@@ -50,6 +50,8 @@ def _read_graph(path: str) -> ProtectionGraph:
     if path != "-":
         return parse_graph(Path(path).read_text(encoding="utf-8"))
     stdin = sys.stdin
+    if stdin is None:  # the process was started with file descriptor 0 closed
+        raise OSError("cannot read the graph from stdin: standard input is closed")
     if isinstance(stdin, io.TextIOWrapper):
         # A byte stream: decode it as a file is decoded (strict UTF-8,
         # universal newlines); under the C locale it would otherwise pass

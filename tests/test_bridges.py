@@ -369,6 +369,24 @@ class TestBetweenIslands:
         assert found == expected
         assert [(s, f) for s, f, _ in found] == [(0, 2)]
 
+    @pytest.mark.parametrize("b_order", [("b1", "b2"), ("b2", "b1")])
+    def test_claimed_goals_are_never_expanded(self, b_order):
+        # a -t-> o1 -t-> b2 -t-> o2 -t-> b1, island B = {b1, b2}: b1 is
+        # reachable only through b2, a subject, so the only bridge is
+        # a ~> b2.  Swapping the ids of b1 and b2 covers both orders in
+        # which the search checks its goals.
+        g = make_graph(
+            [("a", "s"), ("o1", "o"), ("o2", "o")] + [(name, "s") for name in b_order],
+            [("a", "o1", "t"), ("o1", "b2", "t"), ("b2", "o2", "t"), ("o2", "b1", "t"),
+             ("b1", "b2", "g")],
+        )
+        a, o1, b2 = g.vertex_id("a"), g.vertex_id("o1"), g.vertex_id("b2")
+        for graph, direction in ((g, Direction.FORWARD), (g.reverse(), Direction.BACKWARD)):
+            island_a, island_b = sorted(compute_islands(graph), key=lambda i: len(i.members))
+            assert island_a.members == (a,) and len(island_b.members) == 2
+            found = bridges_between_islands(graph, island_a, island_b, direction)
+            assert [(s, f, path.vertices) for s, f, path in found] == [(a, b2, (a, o1, b2))]
+
 
 def _assert_well_formed(g, report, s, f):
     m = len(traversal_set(g, s, f))

@@ -215,6 +215,31 @@ class TestExitCodeContract:
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize(
+        "argv",
+        [["bridge", "-", "a", "b"], ["islands", "-"], ["bridges", "-", "0", "1"]],
+        ids=["bridge", "islands", "bridges"],
+    )
+    def test_closed_stdin_is_usage_error(self, argv, monkeypatch, capsys):
+        # Python sets sys.stdin to None when it starts with fd 0 closed.
+        monkeypatch.setattr(cli.sys, "stdin", None)
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: cannot read the graph from stdin: standard input is closed\n"
+
+    def test_closed_stdin_subprocess_is_usage_error(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "takegrant.cli", "islands", "-"],
+            env={**os.environ, "PYTHONPATH": SRC},
+            preexec_fn=lambda: os.close(0),
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr == "error: cannot read the graph from stdin: standard input is closed\n"
+
+    @pytest.mark.parametrize(
         "data",
         [
             b"tgg 1\nsubject s\nobject x\nsubject \xff\n",
