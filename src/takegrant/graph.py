@@ -275,11 +275,8 @@ class ProtectionGraph:
 
     def reverse(self) -> ProtectionGraph:
         """New graph with the same vertices and every arc flipped."""
-        rev = ProtectionGraph()
-        rev._names = list(self._names)
-        rev._kinds = list(self._kinds)
-        rev._ids = dict(self._ids)
-        rev._out = out = [{} for _ in self._out]
+        rev = self._without_arcs()
+        out = rev._out
         for src, adj in enumerate(self._out):
             for dst, mask in adj.items():
                 out[dst][src] = mask
@@ -288,6 +285,18 @@ class ProtectionGraph:
         rev._t_entered_objects = self._t_left_objects
         rev._t_left_objects = self._t_entered_objects
         return rev
+
+    def _without_arcs(self) -> ProtectionGraph:
+        """New graph with copies of this graph's vertex tables and no arcs."""
+        n = len(self._names)
+        g = ProtectionGraph()
+        g._names = self._names.copy()
+        g._kinds = self._kinds.copy()
+        g._ids = self._ids.copy()
+        g._out = [{} for _ in range(n)]
+        g._t_succ = [[] for _ in range(n)]
+        g._t_pred = [[] for _ in range(n)]
+        return g
 
     # ---- package-internal views ------------------------------------------
 

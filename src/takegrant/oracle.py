@@ -6,16 +6,22 @@ engines, so a bug in one is unlikely to hide in the other.
 ``enumerate_t_arc_graphs`` walks every t-arc pattern over a small fixed
 vertex set, and ``random_graph`` draws reproducible graphs from a
 seeded SplitMix64 stream.
+
+Both hand their arcs to the graph as rights masks, skipping
+``add_edge``'s checks on ids and rights they made themselves;
+``random_graph`` compares each draw as an integer, which decides
+exactly as ``next_unit() < p`` would.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Iterator, Sequence
 
 from ._value import Value, set_slot
 from .bridges import BridgePath, Direction, check_query, traversal_set
-from .errors import EmptySpecError, TooLargeError
-from .graph import RIGHT_ORDER, ProtectionGraph, Right, VertexId, VertexKind
+from .errors import EmptySpecError, InvalidRightError, TooLargeError
+from .graph import _BIT, _T, RIGHT_ORDER, ProtectionGraph, Right, VertexId, VertexKind
 
 _MASK64 = (1 << 64) - 1
 
@@ -84,12 +90,20 @@ def random_graph(spec: RandomGraphSpec) -> ProtectionGraph:
     stream seeded with ``spec.seed`` is consumed in a fixed order: for
     every ordered pair (src, dst), src != dst, both ascending, and for
     every pooled right in t, g, r, w order, a single draw decides
-    whether that arc carries that right (``draw < arc_probability``).
+    whether that arc carries that right (``next_unit() < arc_probability``).
+
+    The test is ``next_u64() < ceil(p * 2**53) << 11``, which holds
+    exactly when ``next_unit() < p`` does (``p * 2**53`` is exact), and
+    a pair's rights go in as one mask.  A pool item that is not a
+    ``Right`` raises ``InvalidRightError``; an empty pool gives no arcs.
     """
     if spec.n_subjects < 0 or spec.n_objects < 0:
         raise ValueError("vertex counts must be non-negative")
     if not 0.0 <= spec.arc_probability <= 1.0:
         raise ValueError(f"arc_probability must be in [0, 1], got {spec.arc_probability}")
+    for right in spec.rights_pool:
+        if right.__class__ is not Right:
+            raise InvalidRightError(f"rights pool item {right!r} is not a Right")
     total = spec.n_subjects + spec.n_objects
     if total == 0:
         raise EmptySpecError("graph spec declares zero vertices")
@@ -98,16 +112,20 @@ def random_graph(spec: RandomGraphSpec) -> ProtectionGraph:
         g.add_vertex(f"s{i}", VertexKind.SUBJECT)
     for i in range(spec.n_objects):
         g.add_vertex(f"o{i}", VertexKind.OBJECT)
-    pool = [r for r in RIGHT_ORDER if r in spec.rights_pool]
-    rng = SplitMix64(spec.seed)
-    p = spec.arc_probability
+    bits = [_BIT[r] for r in RIGHT_ORDER if r in spec.rights_pool]
+    draw = SplitMix64(spec.seed).next_u64
+    limit = math.ceil(spec.arc_probability * 2.0**53) << 11
+    insert = g._insert
     for src in range(total):
         for dst in range(total):
             if src == dst:
                 continue
-            rights = [r for r in pool if rng.next_unit() < p]
-            if rights:
-                g.add_edge(src, dst, rights)
+            mask = 0
+            for bit in bits:
+                if draw() < limit:
+                    mask |= bit
+            if mask:
+                insert(src, dst, mask)
     return g
 
 
@@ -120,7 +138,8 @@ def enumerate_t_arc_graphs(
     Each of the n*(n-1) ordered pairs independently has or lacks an arc;
     graphs come out in binary-counter order over the ascending pair
     list, so graph number k has an arc on pair j exactly when bit j of k
-    is set.
+    is set.  The vertices are declared once, on the first ``next()``
+    (so a bad name raises there), into a template each graph copies.
     """
     if max_vertices > _ENUMERATION_CAP:
         raise TooLargeError(
@@ -135,13 +154,14 @@ def enumerate_t_arc_graphs(
     pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
 
     def generate() -> Iterator[ProtectionGraph]:
+        template = ProtectionGraph()
+        for name, kind in fixed:
+            template.add_vertex(name, kind)
         for code in range(1 << len(pairs)):
-            g = ProtectionGraph()
-            for name, kind in fixed:
-                g.add_vertex(name, kind)
+            g = template._without_arcs()
             for bit, (a, b) in enumerate(pairs):
                 if code >> bit & 1:
-                    g.add_edge(a, b, {Right.T})
+                    g._insert(a, b, _T)
             yield g
 
     return generate()

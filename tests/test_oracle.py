@@ -1,10 +1,20 @@
 from __future__ import annotations
 
+import hashlib
+import math
+import random
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from takegrant import (
+    RIGHT_ORDER,
     Direction,
     EmptySpecError,
+    InvalidNameError,
+    InvalidRightError,
+    ProtectionGraph,
     RandomGraphSpec,
     Right,
     SplitMix64,
@@ -112,6 +122,36 @@ class TestEnumeration:
         for g in enumerate_t_arc_graphs(SWEEP_VERTICES):
             assert parse_graph(serialize_graph(g)) == g
 
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_same_graphs_in_order_as_add_edge_builds(self, n):
+        vertices = [("s", VertexKind.SUBJECT), ("f", VertexKind.SUBJECT)] + [
+            (f"o{i}", VertexKind.OBJECT) for i in range(n - 2)
+        ]
+        pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
+        count = 0
+        for code, g in enumerate(enumerate_t_arc_graphs(vertices)):
+            expected = ProtectionGraph()
+            for name, kind in vertices:
+                expected.add_vertex(name, kind)
+            for bit, (a, b) in enumerate(pairs):
+                if code >> bit & 1:
+                    expected.add_edge(a, b, [Right.T])
+            assert vars(g) == vars(expected)
+            count += 1
+        assert count == 1 << len(pairs)
+
+    def test_graphs_are_independent_of_each_other(self):
+        first, second = list(enumerate_t_arc_graphs(SWEEP_VERTICES))[:2]
+        first.add_edge(1, 2, [Right.G])
+        first.add_vertex("extra", VertexKind.OBJECT)
+        assert second.vertex_count == 3
+        assert second.rights_between(1, 2) == frozenset()
+
+    def test_bad_name_raises_on_first_next(self):
+        graphs = enumerate_t_arc_graphs([("s", VertexKind.SUBJECT), ("bad name", VertexKind.OBJECT)])
+        with pytest.raises(InvalidNameError):
+            next(graphs)
+
     def test_exhaustive_sweep_agrees_with_search(self):
         for g in enumerate_t_arc_graphs(SWEEP_VERTICES):
             for direction in (Direction.FORWARD, Direction.BACKWARD):
@@ -161,6 +201,145 @@ class TestRandomGraph:
         g = random_graph(RandomGraphSpec(2, 2, 1.0, seed=1))
         for edge in g.edges():
             assert edge.src != edge.dst
+
+    @pytest.mark.parametrize(
+        "pool, bad",
+        [(frozenset({"t"}), "'t'"), (frozenset({Right.T, "g"}), "'g'")],
+        ids=["letter", "mixed"],
+    )
+    def test_pool_item_that_is_not_a_right_rejected(self, pool, bad):
+        with pytest.raises(InvalidRightError, match=bad):
+            random_graph(RandomGraphSpec(2, 3, 1.0, pool, 1))
+
+    def test_empty_pool_gives_no_arcs(self):
+        g = random_graph(RandomGraphSpec(2, 3, 1.0, frozenset(), 1))
+        assert g.vertex_count == 5
+        assert g.edge_count == 0
+
+
+# sha256 of serialize_graph(random_graph(spec)), recorded from the
+# add_edge/next_unit implementation; the stream must never change.
+GOLDEN_STREAMS = [
+    (RandomGraphSpec(3, 4, 0.0, frozenset({Right.T}), 1),
+     "05517ff14c77ddd455682c500a433940c17239af8ccbede226a230ba97b94b67"),
+    (RandomGraphSpec(2, 5, 2.0**-53, frozenset(Right), 2),
+     "ec928ceff1d22c9e03cc04287f9d22c318c7621616e522ca318c69b544344be5"),
+    (RandomGraphSpec(4, 6, 0.3, frozenset({Right.T}), 77),
+     "145eb72e71b1135da7cf2ad7fb5465b11c37e72b67969062240134ced16146ba"),
+    (RandomGraphSpec(3, 5, 0.3, frozenset({Right.T, Right.G}), -12345),
+     "867b17aa956f14bf6db14ed8015037bb4370ca7f42876737ce636d91564c3547"),
+    (RandomGraphSpec(5, 3, 0.3, frozenset({Right.G, Right.W}), 2**64 + 99),
+     "2eb5ec02b38b388b4b6761f78cf322f65fb92d423897469e209b93cb673cd4f8"),
+    (RandomGraphSpec(0, 7, 0.3, frozenset(Right), 5),
+     "dcd6fd1db70cca71bed88fbdf91f1a6d732588b5c84a0033806204e2b31a3b7f"),
+    (RandomGraphSpec(6, 0, 0.3, frozenset({Right.T, Right.G}), 6),
+     "97e0e3b65678ca80c0e36ac30afab4c5a5a40374a2e51969eb272c43d6ed19e0"),
+    (RandomGraphSpec(2, 3, 1 - 2.0**-53, frozenset(Right), 8),
+     "8cafddf9813ea1fcfb89052c008de0e4fcf6ddbcf7ff315521dc4375e25381d7"),
+    (RandomGraphSpec(2, 2, 1.0, frozenset(Right), 9),
+     "195dc3f9813e576f5203a2ee130c458afbc6cb7292afa73098da6f582b3c1211"),
+    (RandomGraphSpec(10, 30, 0.1, frozenset(Right), 424242),
+     "fbd1fa8db831560ffb94f38320910a9caaaf9b0ef69fee612ae1872ea822ac9f"),
+]
+
+
+def reference_random_graph(spec: RandomGraphSpec) -> ProtectionGraph:
+    """random_graph as first written: one next_unit() per candidate, add_edge per arc."""
+    g = ProtectionGraph()
+    for i in range(spec.n_subjects):
+        g.add_vertex(f"s{i}", VertexKind.SUBJECT)
+    for i in range(spec.n_objects):
+        g.add_vertex(f"o{i}", VertexKind.OBJECT)
+    pool = [r for r in RIGHT_ORDER if r in spec.rights_pool]
+    rng = SplitMix64(spec.seed)
+    total = spec.n_subjects + spec.n_objects
+    for src in range(total):
+        for dst in range(total):
+            if src == dst:
+                continue
+            rights = [r for r in pool if rng.next_unit() < spec.arc_probability]
+            if rights:
+                g.add_edge(src, dst, rights)
+    return g
+
+
+_MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+
+
+def _unxorshift(y: int, k: int) -> int:
+    """Invert y = x ^ (x >> k) over 64 bits."""
+    x = y
+    for _ in range(64 // k + 1):
+        x = y ^ (x >> k)
+    return x
+
+
+def seed_whose_first_draw_is(z: int) -> int:
+    """A seed whose SplitMix64 stream starts with *z*: the mixer is a bijection."""
+    z = _unxorshift(z, 31)
+    z = (z * pow(0x94D049BB133111EB, -1, 1 << 64)) & _MASK64
+    z = _unxorshift(z, 27)
+    z = (z * pow(0xBF58476D1CE4E5B9, -1, 1 << 64)) & _MASK64
+    z = _unxorshift(z, 30)
+    return (z - _GAMMA) & _MASK64
+
+
+@st.composite
+def draws_and_probabilities(draw):
+    """A u64 draw and a p in [0, 1], often on or next to a 2**-53 boundary."""
+    if draw(st.booleans()):
+        p = draw(st.floats(0.0, 1.0))
+    else:
+        p = draw(st.integers(0, 1 << 53)) * 2.0**-53
+        p = min(max(draw(st.sampled_from([p, math.nextafter(p, 0.0), math.nextafter(p, 2.0)])), 0.0), 1.0)
+    if draw(st.booleans()):
+        z = draw(st.integers(0, _MASK64))
+    else:
+        limit = math.ceil(p * 2.0**53) << 11
+        z = limit + draw(st.sampled_from([-2049, -2048, -1, 0, 1, 2047, 2048]))
+        z = min(max(z, 0), _MASK64)
+    return z, p
+
+
+class TestStreams:
+    @pytest.mark.parametrize("spec, digest", GOLDEN_STREAMS)
+    def test_golden_digest(self, spec, digest):
+        text = serialize_graph(random_graph(spec))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_matches_reference_on_seeded_specs(self):
+        rng = random.Random(8080)
+        probabilities = [0.0, 2.0**-53, 0.05, 0.3, 0.5, 1 - 2.0**-53, 1.0]
+        for i in range(320):
+            pool = frozenset(r for r in Right if rng.random() < 0.6)
+            spec = RandomGraphSpec(
+                rng.randrange(0, 6),
+                rng.randrange(1, 8),
+                probabilities[i % len(probabilities)] if i % 2 else rng.random(),
+                pool,
+                rng.randrange(-(2**65), 2**65),
+            )
+            assert vars(random_graph(spec)) == vars(reference_random_graph(spec)), spec
+
+    @given(draws_and_probabilities())
+    @settings(max_examples=400)
+    @example((0, 0.0))
+    @example((2047, 2.0**-53))
+    @example((2048, 2.0**-53))
+    @example((_MASK64, 1.0))
+    @example((_MASK64, 1 - 2.0**-53))
+    @example(((1 << 64) - 4096, 1 - 2.0**-53))
+    @example((3 << 11, 3.5 * 2.0**-53))
+    @example(((3 << 11) - 1, 3 * 2.0**-53))
+    @example((3 << 11, 3 * 2.0**-53))
+    def test_integer_compare_is_next_unit_compare(self, case):
+        # The first draw alone decides the arc s0 -> o0 of a t-only pair graph.
+        z, p = case
+        seed = seed_whose_first_draw_is(z)
+        assert SplitMix64(seed).next_u64() == z
+        g = random_graph(RandomGraphSpec(1, 1, p, frozenset({Right.T}), seed))
+        assert (g.rights_between(0, 1) == {Right.T}) == ((z >> 11) * 2.0**-53 < p)
 
 
 class TestSplitMix64:
