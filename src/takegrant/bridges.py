@@ -131,8 +131,15 @@ def traversal_set(g: ProtectionGraph, s: VertexId, f: VertexId) -> set[VertexId]
     return verts
 
 
-def check_query(g: ProtectionGraph, s: VertexId, f: VertexId) -> None:
-    """Validate a bridge query's endpoints (existence, distinctness)."""
+def _check_direction(direction: Direction) -> None:
+    # Anything but a Direction would silently run as a backward search.
+    if direction.__class__ is not Direction:
+        raise TypeError(f"direction must be a Direction, got {direction!r}")
+
+
+def check_query(g: ProtectionGraph, s: VertexId, f: VertexId, direction: Direction) -> None:
+    """Validate a bridge query: its direction and its endpoints (existence, distinctness)."""
+    _check_direction(direction)
     g.vertex_kind(s)
     g.vertex_kind(f)
     if s == f:
@@ -237,7 +244,7 @@ def bridge_exists(
     claims the last claimable vertex.  This is the single-goal case of
     the search ``bridges_between_islands`` runs once per source.
     """
-    check_query(g, s, f)
+    check_query(g, s, f, direction)
     pred, trace = _search(g, s, (f,), direction)
     path = _path(pred, s, f, direction) if pred[f] is not None else None
     return SearchReport(path is not None, direction, path, len(trace), tuple(trace))
@@ -259,7 +266,7 @@ def bridge_exists_faithful(
     vertex-count passes, each reviewing every arc of an almost fully
     reached graph.
     """
-    check_query(g, s, f)
+    check_query(g, s, f, direction)
     arcs = (g if direction is Direction.FORWARD else g.reverse())._out
     reached = {s}
     unreached = traversal_set(g, s, f) - reached
@@ -331,6 +338,7 @@ def bridges_between_islands(
     with |A| searches instead of |A|*|B|.  The result is sorted by
     (s, f) because members come ascending.
     """
+    _check_direction(direction)
     if island_a.index == island_b.index:
         raise SameIslandError(f"need two distinct islands, got index {island_a.index} twice")
     goals = frozenset(island_b.members)

@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import io
 import sys
-import time
 from pathlib import Path
 from typing import Sequence
 
@@ -42,8 +41,6 @@ EXIT_FOUND = 0
 EXIT_NOT_FOUND = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
-
-_BENCH_TRIALS = 3
 
 
 def _read_graph(path: str) -> ProtectionGraph:
@@ -188,50 +185,6 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return EXIT_FOUND
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    if not 0.0 <= args.density <= 1.0:
-        return _usage_error("--density must be in [0, 1]")
-    if any(n < 2 for n in args.sizes):
-        return _usage_error("every size must be >= 2")
-    variants = {
-        "optimized": (("optimized", bridge_exists),),
-        "faithful": (("faithful", bridge_exists_faithful),),
-        "both": (("optimized", bridge_exists), ("faithful", bridge_exists_faithful)),
-    }[args.variant]
-    print("variant,n,arcs,passes,nanos")
-    for name, engine in variants:
-        for n in args.sizes:
-            # Timed query is a worst-case miss: the target is an isolated
-            # object, so the faithful engine must exhaust everything
-            # reachable before it may conclude there is no bridge.  The
-            # frontier engine stops once every object some t arc enters
-            # is reached, so it no longer scans every reached vertex's
-            # arcs.  Hit queries stop whenever the target happens to
-            # fall into the reached set, which says little about how the
-            # engines scale.
-            spec = RandomGraphSpec(1, n - 2, args.density, frozenset({Right.T}), args.seed + n)
-            g = random_graph(spec)
-            sink = g.add_vertex("sink", VertexKind.OBJECT)
-            total_ns = 0
-            report = None
-            for _ in range(_BENCH_TRIALS):
-                start = time.perf_counter_ns()
-                report = engine(g, 0, sink, Direction.FORWARD)
-                total_ns += time.perf_counter_ns() - start
-            print(f"{name},{n},{g.edge_count},{report.passes},{total_ns // _BENCH_TRIALS}")
-    return EXIT_FOUND
-
-
-def _sizes_arg(text: str) -> list[int]:
-    try:
-        sizes = [int(part) for part in text.split(",") if part != ""]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"sizes must be comma-separated integers, got {text!r}")
-    if not sizes:
-        raise argparse.ArgumentTypeError("sizes list must not be empty")
-    return sizes
-
-
 def _rights_arg(text: str) -> tuple[Right, ...]:
     try:
         return tuple(Right(ch) for ch in text)
@@ -283,13 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rights", type=_rights_arg, default=(Right.T, Right.G), help="rights pool, e.g. tg")
     p.add_argument("-o", "--output", default="-", help="output path, or - for stdout")
     p.set_defaults(func=_cmd_gen)
-
-    p = sub.add_parser("bench", help="time both engines over generated graphs, CSV on stdout")
-    p.add_argument("--sizes", type=_sizes_arg, required=True, help="comma-separated vertex counts")
-    p.add_argument("--density", type=float, default=0.05, help="t-arc probability per ordered pair")
-    p.add_argument("--seed", type=int, default=1, help="generator seed")
-    p.add_argument("--variant", choices=("both", "optimized", "faithful"), default="both")
-    p.set_defaults(func=_cmd_bench)
 
     return parser
 

@@ -99,6 +99,13 @@ _RIGHTS = tuple(
 _LETTERS = tuple("".join(right.value for right in RIGHT_ORDER if right in rs) for rs in _RIGHTS)
 
 
+def _right_bit(right: Right) -> int:
+    """The mask bit of *right*; ``InvalidRightError`` if it is not a ``Right``."""
+    if right.__class__ is not Right:
+        raise InvalidRightError(f"{right!r} is not a Right")
+    return _BIT[right]
+
+
 class Edge(Value):
     """One merged arc: all rights the ordered pair (src, dst) carries."""
 
@@ -250,7 +257,7 @@ class ProtectionGraph:
         self._require(v)
         if right is Right.T:
             return sorted(self._t_succ[v])
-        bit = _BIT[right]
+        bit = _right_bit(right)
         return sorted(w for w, mask in self._out[v].items() if mask & bit)
 
     def in_neighbors_with_right(self, v: VertexId, right: Right) -> list[VertexId]:
@@ -262,7 +269,7 @@ class ProtectionGraph:
         self._require(v)
         if right is Right.T:
             return sorted(self._t_pred[v])
-        bit = _BIT[right]
+        bit = _right_bit(right)
         return [w for w, adj in enumerate(self._out) if adj.get(v, 0) & bit]
 
     def edges(self) -> list[Edge]:

@@ -180,7 +180,7 @@ def brute_force_bridge(
     shortest one and, among shortest, the smallest id sequence.  Returns
     None only after every simple path length has been exhausted.
     """
-    check_query(g, s, f)
+    check_query(g, s, f, direction)
     traversal = traversal_set(g, s, f)
     neighbors = (
         g.out_neighbors_with_right

@@ -3,6 +3,8 @@
 One test per shipping criterion; each prints an ``acceptance N: PASS``
 line (run with ``pytest -s`` to see them).  The two heavyweight sweeps
 are session fixtures so several criteria can read one computation.
+Beside the wall-clock gates, the ``*_arcs_*`` tests check each engine's
+cost by counting the arcs it examines.
 """
 
 from __future__ import annotations
@@ -310,6 +312,142 @@ def test_criterion_8_scale_smoke():
         f"{arcs} arcs, optimized {fast_elapsed * 1e3:.0f} ms, faithful {slow_elapsed * 1e3:.0f} ms, "
         f"reports {'equal' if fast == slow else 'DIFFER'}",
     )
+
+
+# ---- work counted, not timed ------------------------------------------
+#
+# Each engine reads its graph through per-vertex containers: the frontier
+# engine iterates the t-lists of its walk direction (``_t_succ`` forward,
+# ``_t_pred`` backward), the faithful engine calls ``items()`` on ``_out``.
+# Swapping in containers that add their length to a tally when read
+# counts the arcs an engine examined without touching the engine, so
+# these tests check its cost without the clock.
+
+
+class _Tally:
+    arcs = 0
+
+
+class _CountingList(list):
+    def __iter__(self):
+        self.tally.arcs += len(self)
+        return super().__iter__()
+
+
+class _CountingDict(dict):
+    def items(self):
+        self.tally.arcs += len(self)
+        return super().items()
+
+
+def _counted_run(engine, g, attr, container, s, f, direction):
+    """(report, arcs examined) of one *engine* run with *g.attr* counted."""
+    tally = _Tally()
+    original = getattr(g, attr)
+    counting = []
+    for items in original:
+        wrapped = container(items)
+        wrapped.tally = tally
+        counting.append(wrapped)
+    setattr(g, attr, counting)
+    try:
+        report = engine(g, s, f, direction)
+    finally:
+        setattr(g, attr, original)
+    return report, tally.arcs
+
+
+def _frontier_arcs(g, s, f, direction):
+    attr = "_t_succ" if direction is Direction.FORWARD else "_t_pred"
+    report, arcs = _counted_run(bridge_exists, g, attr, _CountingList, s, f, direction)
+    assert report == bridge_exists(g, s, f, direction)
+    return report, arcs
+
+
+def _faithful_arcs(g, s, f, direction):
+    """The faithful engine walks t<-* on g as t->* on ``g.reverse()``, so a
+    backward walk is counted as a forward walk on the reverse; the report
+    returned is the uncounted one."""
+    walked = g if direction is Direction.FORWARD else g.reverse()
+    counted, arcs = _counted_run(
+        bridge_exists_faithful, walked, "_out", _CountingDict, s, f, Direction.FORWARD
+    )
+    report = bridge_exists_faithful(g, s, f, direction)
+    assert (counted.exists, counted.passes, counted.frontier_trace) == (
+        report.exists,
+        report.passes,
+        report.frontier_trace,
+    )
+    return report, arcs
+
+
+def _t_arc_count(g: ProtectionGraph) -> int:
+    return sum(Right.T in edge.rights for edge in g.edges())
+
+
+@pytest.mark.parametrize("direction", BOTH, ids=lambda d: d.value)
+@pytest.mark.parametrize("n", [10, 50, 200])
+def test_chain_arcs_examined(n, direction):
+    # Pass k reaches the k-th vertex of the chain: the frontier engine
+    # scans only the vertex added last, the faithful engine all k.
+    g, s, f, _ = chain_graph(n)
+    if direction is Direction.BACKWARD:
+        s, f = f, s
+    fast, fast_arcs = _frontier_arcs(g, s, f, direction)
+    slow, slow_arcs = _faithful_arcs(g, s, f, direction)
+    assert fast == slow and fast.exists and fast.passes == n
+    assert fast_arcs == n
+    assert slow_arcs == n * (n + 1) // 2
+
+
+def test_worst_case_miss_arcs_examined():
+    # Random t-only graphs of 100, 200 and 400 vertices (one subject)
+    # plus an isolated sink object.  On this miss the faithful engine
+    # must exhaust what the start reaches, while the frontier engine
+    # stops once nothing claimable is left.
+    faithful_arcs = []
+    for n in (100, 200, 400):
+        g = random_graph(RandomGraphSpec(1, n - 2, 0.05, frozenset({Right.T}), 1 + n))
+        sink = g.add_vertex("sink", VertexKind.OBJECT)
+        fast, fast_arcs = _frontier_arcs(g, 0, sink, Direction.FORWARD)
+        slow, slow_arcs = _faithful_arcs(g, 0, sink, Direction.FORWARD)
+        assert fast == slow and not fast.exists
+        assert fast_arcs <= _t_arc_count(g)
+        faithful_arcs.append(slow_arcs)
+    assert faithful_arcs[0] < faithful_arcs[1] < faithful_arcs[2], faithful_arcs
+
+
+def _count_sweep_cases():
+    """200 seeded graphs with every right, 3 to 12 vertices, and 0 -> 1."""
+    pool = frozenset(Right)
+    for i in range(200):
+        n = 3 + i % 10
+        p = RANDOM_SWEEP_PROBABILITIES[i % 3]
+        yield random_graph(RandomGraphSpec(2, n - 2, p, pool, seed=90_000 + i))
+
+
+@pytest.mark.parametrize("direction", BOTH, ids=lambda d: d.value)
+def test_faithful_arcs_are_reached_out_degrees(direction):
+    # Each pass re-scans every arc (of any right) leaving the set reached
+    # when the pass starts; rebuild those sets from the trace.
+    for g in _count_sweep_cases():
+        degree = [0] * g.vertex_count
+        for edge in g.edges():
+            degree[edge.src if direction is Direction.FORWARD else edge.dst] += 1
+        report, arcs = _faithful_arcs(g, 0, 1, direction)
+        reached = {0}
+        expected = 0
+        for _, added in report.frontier_trace:
+            expected += sum(degree[v] for v in reached)
+            reached.update(added)
+        assert arcs == expected
+
+
+@pytest.mark.parametrize("direction", BOTH, ids=lambda d: d.value)
+def test_frontier_arcs_at_most_t_arcs(direction):
+    for g in _count_sweep_cases():
+        _, arcs = _frontier_arcs(g, 0, 1, direction)
+        assert arcs <= _t_arc_count(g)
 
 
 def test_criterion_9_format_round_trip():

@@ -306,6 +306,24 @@ class TestErrors:
         with pytest.raises(UnknownVertexError):
             bridge_exists(g, 0, 11)
 
+    @pytest.mark.parametrize("direction", ["forward", None, 1])
+    @pytest.mark.parametrize(
+        "engine", [bridge_exists, bridge_exists_faithful, brute_force_bridge, find_bridge_path]
+    )
+    def test_direction_that_is_not_a_direction_rejected(self, engine, direction):
+        # The bridge runs f -> s against the arcs, so reading a bad value
+        # as backward would find it.
+        g = figure_graph()
+        with pytest.raises(TypeError, match=f"got {direction!r}"):
+            engine(g, g.vertex_id("f"), g.vertex_id("s"), direction)
+
+    @pytest.mark.parametrize("direction", ["forward", None, 1])
+    def test_islands_direction_that_is_not_a_direction_rejected(self, direction):
+        g = figure_graph()
+        islands = compute_islands(g)
+        with pytest.raises(TypeError, match=f"got {direction!r}"):
+            bridges_between_islands(g, islands[1], islands[0], direction)
+
 
 class TestBetweenIslands:
     def test_figure_islands_have_one_bridge(self):

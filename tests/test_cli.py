@@ -445,57 +445,6 @@ class TestGenCommand:
         assert cli.main(["gen", "--subjects", "0", "--objects", "0"]) == 2
 
 
-class TestBenchCommand:
-    def test_csv_layout_and_bounds(self, capsys):
-        assert cli.main(["bench", "--sizes", "12,24", "--seed", "4"]) == 0
-        lines = capsys.readouterr().out.splitlines()
-        assert lines[0] == "variant,n,arcs,passes,nanos"
-        rows = [line.split(",") for line in lines[1:]]
-        assert [(r[0], r[1]) for r in rows] == [
-            ("optimized", "12"),
-            ("optimized", "24"),
-            ("faithful", "12"),
-            ("faithful", "24"),
-        ]
-        for variant, n, arcs, passes, nanos in rows:
-            assert int(passes) <= int(n) + 1
-            assert int(nanos) > 0
-
-    def test_single_size_one_row_per_variant(self, capsys):
-        assert cli.main(["bench", "--sizes", "10", "--variant", "faithful"]) == 0
-        lines = capsys.readouterr().out.splitlines()
-        assert len(lines) == 2
-        assert lines[1].startswith("faithful,10,")
-
-    def test_variants_agree_on_passes(self, capsys):
-        assert cli.main(["bench", "--sizes", "16", "--seed", "2"]) == 0
-        lines = capsys.readouterr().out.splitlines()[1:]
-        passes = {line.split(",")[0]: line.split(",")[3] for line in lines}
-        assert passes["optimized"] == passes["faithful"]
-
-    @pytest.mark.slow
-    def test_faithful_nanos_grow_with_size(self, capsys):
-        # One wall-clock mean per size is at the mercy of CPU-speed swings;
-        # interleave five rounds over the sizes and keep each size's minimum.
-        sizes = (100, 200, 400)
-        runs: dict[int, list[int]] = {n: [] for n in sizes}
-        for _ in range(5):
-            for n in sizes:
-                assert cli.main(["bench", "--sizes", str(n), "--variant", "faithful"]) == 0
-                (line,) = capsys.readouterr().out.splitlines()[1:]
-                runs[n].append(int(line.split(",")[4]))
-        nanos = [min(runs[n]) for n in sizes]
-        assert nanos == sorted(nanos) and len(set(nanos)) == 3
-
-    def test_empty_sizes_rejected(self):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["bench", "--sizes", ","])
-        assert exc.value.code == 2
-
-    def test_too_small_size_rejected(self, capsys):
-        assert cli.main(["bench", "--sizes", "1"]) == 2
-
-
 class TestParserPlumbing:
     def test_import_pulls_in_no_dataclasses_inspect_or_json(self):
         # -S keeps site-packages .pth imports out of sys.modules.
@@ -514,6 +463,18 @@ class TestParserPlumbing:
         with pytest.raises(SystemExit) as exc:
             cli.main([])
         assert exc.value.code == 2
+
+    def test_retired_bench_command_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["bench", "--sizes", "10"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert "{islands,bridge,bridges,check,gen}" in out
+        assert "bench" not in out
 
     def test_entry_point_exists(self, figure_file, monkeypatch, capsys):
         # The console script is declared in pyproject.toml; check the

@@ -135,6 +135,14 @@ class TestAdjacency:
         with pytest.raises(UnknownVertexError):
             g.out_neighbors_with_right(0, Right.T)
 
+    @pytest.mark.parametrize("right", ["t", "g", 1, None])
+    @pytest.mark.parametrize("method", ["out_neighbors_with_right", "in_neighbors_with_right"])
+    def test_neighbors_reject_non_right(self, method, right):
+        g = figure_graph()
+        with pytest.raises(InvalidRightError, match=re.escape(f"{right!r} is not a Right")) as caught:
+            getattr(g, method)(g.vertex_id("x"), right)
+        assert isinstance(caught.value, TakeGrantError)
+
     @given(graphs())
     def test_in_neighbors_match_reversed_out(self, g):
         rev = g.reverse()
