@@ -14,9 +14,9 @@ for real queries.  ``bridge_exists_faithful`` re-scans every arc
 incident to the whole reached set on every pass -- deliberately wasteful
 (cubic in the vertex count) but a more literal rendering of the same
 pass structure, kept so the two can be checked against each other.  It
-reads only the graph's rights masks (those of ``g.reverse()`` for
-``t<-*``), never the t-lists the frontier engine walks, so a drift
-between the two stores shows up as a disagreement.  They must return
+reads only the graph's rights masks (flipped, as ``g.reverse()`` holds
+them, for ``t<-*``), never the t-lists the frontier engine walks, so a
+drift between the two stores shows up as a disagreement.  They must return
 identical reports on every input; the test suite enforces this
 exhaustively on small graphs and statistically on large random ones.
 
@@ -57,7 +57,7 @@ from enum import Enum
 from typing import Any, Collection
 
 from ._value import Value, set_slot
-from .errors import InvariantViolationError, SameIslandError, SameVertexError
+from .errors import InvariantViolationError, NotASubjectError, SameIslandError, SameVertexError
 from .graph import _T, ProtectionGraph, Right, VertexId, VertexKind
 from .islands import Island
 
@@ -261,13 +261,15 @@ def bridge_exists_faithful(
     Every pass walks every arc leaving every vertex reached at pass
     start and picks out the t-labelled ones whose far endpoint is still
     unreached.  It reads only the graph's rights masks, never the
-    t-lists: a ``t<-*`` walk on *g* is a ``t->*`` walk on ``g.reverse()``,
-    vertex for vertex, so one loop serves both directions.  Worst case:
-    vertex-count passes, each reviewing every arc of an almost fully
-    reached graph.
+    t-lists: a ``t<-*`` walk on *g* is a ``t->*`` walk on the flipped
+    masks of ``g.reverse()``, vertex for vertex, so one loop serves both
+    directions.  Vertices are scanned in ascending id order; one
+    vertex's arcs are scanned in store order, since each of them claims
+    through that vertex.  Worst case: vertex-count passes, each
+    reviewing every arc of an almost fully reached graph.
     """
     check_query(g, s, f, direction)
-    arcs = (g if direction is Direction.FORWARD else g.reverse())._out
+    arcs = g._out if direction is Direction.FORWARD else g._reversed_out()
     reached = {s}
     unreached = traversal_set(g, s, f) - reached
     predecessor: dict[VertexId, VertexId] = {}
@@ -275,7 +277,7 @@ def bridge_exists_faithful(
     while True:
         added: list[VertexId] = []
         for v in sorted(reached):  # snapshot before the pass grows it
-            for w, mask in sorted(arcs[v].items()):
+            for w, mask in arcs[v].items():
                 if mask & _T and w in unreached:
                     unreached.discard(w)
                     reached.add(w)
@@ -337,10 +339,20 @@ def bridges_between_islands(
     path equals the one ``find_bridge_path(g, s, f, direction)`` gives,
     with |A| searches instead of |A|*|B|.  The result is sorted by
     (s, f) because members come ascending.
+
+    Both islands must come from ``compute_islands(g)``.  Every member is
+    checked to be a subject of *g* (``UnknownVertexError`` for an id
+    outside it, ``NotASubjectError`` for an object), but the partition
+    itself is not recomputed, which would cost O(arcs) per call.
     """
     _check_direction(direction)
     if island_a.index == island_b.index:
         raise SameIslandError(f"need two distinct islands, got index {island_a.index} twice")
+    for v in island_a.members + island_b.members:
+        if g.vertex_kind(v) is _OBJECT:
+            raise NotASubjectError(
+                f"island member {g.vertex_name(v)!r} is an object; islands contain only subjects"
+            )
     goals = frozenset(island_b.members)
     found: list[tuple[VertexId, VertexId, BridgePath]] = []
     for s in island_a.members:

@@ -132,7 +132,7 @@ class ProtectionGraph:
 
     Inside the package, the frontier engine reads the t-lists, their
     object counters and ``_kinds`` directly, the faithful engine re-scans
-    ``_out`` (of ``reverse()`` for backward walks), and the islands code
+    ``_out`` (``_reversed_out()`` for backward walks), and the islands code
     reads ``_subject_tg_links``; nothing outside the package should.
     """
 
@@ -178,8 +178,9 @@ class ProtectionGraph:
         """
         n = len(self._names)
         # The checks _require makes, inlined for the common case of two
-        # valid ids; _require names the bad one.
-        if not (isinstance(src, int) and isinstance(dst, int) and 0 <= src < n and 0 <= dst < n):
+        # valid plain-int ids; _require names the bad one and passes any
+        # other int subclass but bool.
+        if not (src.__class__ is int and dst.__class__ is int and 0 <= src < n and 0 <= dst < n):
             self._require(src)
             self._require(dst)
         mask = 0
@@ -283,15 +284,20 @@ class ProtectionGraph:
     def reverse(self) -> ProtectionGraph:
         """New graph with the same vertices and every arc flipped."""
         rev = self._without_arcs()
-        out = rev._out
-        for src, adj in enumerate(self._out):
-            for dst, mask in adj.items():
-                out[dst][src] = mask
+        rev._out = self._reversed_out()
         rev._t_succ = [list(ws) for ws in self._t_pred]
         rev._t_pred = [list(ws) for ws in self._t_succ]
         rev._t_entered_objects = self._t_left_objects
         rev._t_left_objects = self._t_entered_objects
         return rev
+
+    def _reversed_out(self) -> list[dict[VertexId, int]]:
+        """A new arc store holding every arc of this one flipped, masks kept."""
+        out: list[dict[VertexId, int]] = [{} for _ in self._out]
+        for src, adj in enumerate(self._out):
+            for dst, mask in adj.items():
+                out[dst][src] = mask
+        return out
 
     def _without_arcs(self) -> ProtectionGraph:
         """New graph with copies of this graph's vertex tables and no arcs."""
@@ -333,7 +339,8 @@ class ProtectionGraph:
         return f"ProtectionGraph(vertices={self.vertex_count}, edges={self.edge_count})"
 
     def _require(self, v: VertexId) -> None:
-        if not isinstance(v, int) or not 0 <= v < len(self._names):
+        # bool is an int subclass, but True is no vertex id.
+        if not isinstance(v, int) or v.__class__ is bool or not 0 <= v < len(self._names):
             raise UnknownVertexError(f"vertex id {v!r} is not in this graph")
 
 

@@ -179,6 +179,11 @@ def brute_force_bridge(
     ascending vertex ids within a length, so the returned witness is the
     shortest one and, among shortest, the smallest id sequence.  Returns
     None only after every simple path length has been exhausted.
+
+    A vertex's successors are looked up on its first visit and kept for
+    the rest of the query, so the graph is asked at most once per
+    traversal-set vertex.  The memo fills lazily: most queries visit
+    only part of the traversal set.
     """
     check_query(g, s, f, direction)
     traversal = traversal_set(g, s, f)
@@ -187,9 +192,13 @@ def brute_force_bridge(
         if direction is Direction.FORWARD
         else g.in_neighbors_with_right
     )
+    memo: dict[VertexId, list[VertexId]] = {}
 
     def successors(v: VertexId) -> list[VertexId]:
-        return [w for w in neighbors(v, Right.T) if w in traversal]
+        ws = memo.get(v)
+        if ws is None:
+            ws = memo[v] = [w for w in neighbors(v, Right.T) if w in traversal]
+        return ws
 
     def extend(path: list[VertexId], on_path: set[VertexId], remaining: int) -> list[VertexId] | None:
         v = path[-1]

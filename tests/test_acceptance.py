@@ -19,6 +19,7 @@ from takegrant import (
     ProtectionGraph,
     RandomGraphSpec,
     Right,
+    VertexId,
     VertexKind,
     bridge_exists,
     bridge_exists_faithful,
@@ -448,6 +449,36 @@ def test_frontier_arcs_at_most_t_arcs(direction):
     for g in _count_sweep_cases():
         _, arcs = _frontier_arcs(g, 0, 1, direction)
         assert arcs <= _t_arc_count(g)
+
+
+@pytest.mark.parametrize("direction", BOTH, ids=lambda d: d.value)
+def test_oracle_asks_for_successors_once_per_vertex(direction):
+    # brute_force_bridge re-enters a vertex once per path length and per
+    # path through it; it keeps each vertex's successors for the rest of
+    # the query, so the graph is asked at most once per traversal-set
+    # vertex.  Instance attributes shadow the neighbour queries here.
+    names = ("out_neighbors_with_right", "in_neighbors_with_right")
+    past_length_one = 0
+    for g in _count_sweep_cases():
+        calls: list[VertexId] = []
+
+        def counting(query):
+            def counted(v, right):
+                calls.append(v)
+                return query(v, right)
+            return counted
+
+        for name in names:
+            setattr(g, name, counting(getattr(g, name)))
+        witness = brute_force_bridge(g, 0, 1, direction)
+        for name in names:
+            delattr(g, name)
+        assert witness == brute_force_bridge(g, 0, 1, direction)
+        assert len(calls) == len(set(calls))
+        assert set(calls) <= traversal_set(g, 0, 1)
+        past_length_one += witness is None or witness.length > 1
+    # Each of these enumerates s's successors once per length tried.
+    assert past_length_one >= 50
 
 
 def test_criterion_9_format_round_trip():

@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 
 from takegrant import (
     Direction,
+    NotASubjectError,
+    ProtectionGraph,
     RandomGraphSpec,
     Right,
     SameIslandError,
@@ -293,6 +297,28 @@ class TestOracleIndependence:
             assert not any(bridge_exists(g, s, f, d).exists for s, f, d in queries)
         assert hits >= 1000
 
+    def test_faithful_reports_ignore_arc_insertion_order(self):
+        # The faithful engine scans one vertex's arcs in store order, that
+        # is insertion order; all of them claim through that vertex, so
+        # no order may change a report.
+        for seed in range(40):
+            spec = RandomGraphSpec(2 + seed % 3, 3 + seed % 6, 0.3, frozenset(Right),
+                                   seed=71_000 + seed)
+            g = random_graph(spec)
+            n = g.vertex_count
+            queries = [(s, f, d) for d in BOTH for s in range(n) for f in range(n) if s != f]
+            expected = [bridge_exists_faithful(g, s, f, d) for s, f, d in queries]
+            edges = g.edges()
+            shuffle = random.Random(seed).shuffle
+            for _ in range(3):
+                shuffle(edges)
+                rebuilt = ProtectionGraph()
+                for v in range(n):
+                    rebuilt.add_vertex(g.vertex_name(v), g.vertex_kind(v))
+                for edge in edges:
+                    rebuilt.add_edge(edge.src, edge.dst, edge.rights)
+                assert [bridge_exists_faithful(rebuilt, s, f, d) for s, f, d in queries] == expected
+
 
 class TestErrors:
     def test_same_vertex_rejected(self):
@@ -305,6 +331,14 @@ class TestErrors:
         g = figure_graph()
         with pytest.raises(UnknownVertexError):
             bridge_exists(g, 0, 11)
+
+    @pytest.mark.parametrize("s, f", [(0, True), (False, 2), (True, 2)])
+    @pytest.mark.parametrize("engine", [bridge_exists, bridge_exists_faithful, brute_force_bridge])
+    def test_bool_vertex_rejected(self, engine, s, f):
+        # bool is an int subclass, and True == 1 is the figure's object.
+        g = figure_graph()
+        with pytest.raises(UnknownVertexError, match="is not in this graph"):
+            engine(g, s, f)
 
     @pytest.mark.parametrize("direction", ["forward", None, 1])
     @pytest.mark.parametrize(
@@ -337,6 +371,22 @@ class TestBetweenIslands:
         islands = compute_islands(g)
         with pytest.raises(SameIslandError):
             bridges_between_islands(g, islands[0], islands[0])
+
+    def test_islands_of_another_graph_rejected(self):
+        # Islands 0 and 1 of five isolated subjects are {0} and {1}; in
+        # the figure, 1 is the object x.  Islands 3 and 4 name ids the
+        # figure does not have.
+        g = figure_graph()
+        foreign = compute_islands(random_graph(RandomGraphSpec(5, 3, 0.0, frozenset({Right.T}), 1)))
+        for direction in BOTH:
+            with pytest.raises(NotASubjectError, match="'x' is an object"):
+                bridges_between_islands(g, foreign[0], foreign[1], direction)
+            with pytest.raises(NotASubjectError, match="'x' is an object"):
+                bridges_between_islands(g, foreign[1], foreign[0], direction)
+            with pytest.raises(UnknownVertexError, match="vertex id 3 is not in this graph"):
+                bridges_between_islands(g, foreign[3], foreign[4], direction)
+            with pytest.raises(UnknownVertexError, match="vertex id 4 is not in this graph"):
+                bridges_between_islands(g, compute_islands(g)[0], foreign[4], direction)
 
     def test_no_objects_means_no_bridges(self):
         g = make_graph([("a", "s"), ("b", "s")])

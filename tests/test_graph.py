@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import random
 import re
 
 import pytest
@@ -14,6 +15,7 @@ from takegrant import (
     InvalidRightError,
     ParseError,
     ProtectionGraph,
+    RandomGraphSpec,
     Right,
     TakeGrantError,
     UnknownVertexError,
@@ -25,6 +27,7 @@ from takegrant import (
     compute_islands,
     new_graph,
     parse_graph,
+    random_graph,
     serialize_graph,
 )
 
@@ -98,6 +101,29 @@ class TestConstruction:
         g = make_graph([("s", "s")])
         with pytest.raises(UnknownVertexError):
             g.add_edge(0, 7, {Right.T})
+
+    @pytest.mark.parametrize("src, dst", [(0, True), (False, 1), (True, False)])
+    def test_add_edge_rejects_bool_ids(self, src, dst):
+        # bool is an int subclass; True would silently name vertex 1.
+        g = make_graph([("s", "s"), ("x", "o")])
+        with pytest.raises(UnknownVertexError, match="is not in this graph"):
+            g.add_edge(src, dst, {Right.T})
+        assert g.edges() == []
+
+    @pytest.mark.parametrize("src, dst", [(0, True), (False, 1)])
+    def test_rights_between_rejects_bool_ids(self, src, dst):
+        g = make_graph([("s", "s"), ("x", "o")], [("s", "x", "t")])
+        with pytest.raises(UnknownVertexError, match="is not in this graph"):
+            g.rights_between(src, dst)
+
+    def test_int_subclass_ids_accepted(self):
+        class Vid(int):
+            pass
+
+        g = make_graph([("s", "s"), ("x", "o")])
+        g.add_edge(Vid(0), Vid(1), {Right.T})
+        assert g.rights_between(Vid(0), Vid(1)) == {Right.T}
+        assert g.rights_between(0, 1) == {Right.T}
 
     def test_self_loop_allowed(self):
         g = make_graph([("s", "s")], [("s", "s", "t")])
@@ -274,6 +300,26 @@ class TestReverse:
                 assert rev.in_neighbors_with_right(v, right) == fresh.in_neighbors_with_right(v, right)
         assert rev._t_entered_objects == fresh._t_entered_objects
         assert rev._t_left_objects == fresh._t_left_objects
+
+    def test_reverse_vars_equal_graph_built_reversed(self):
+        # Arcs go in shuffled, so the t-lists are out of id order; the
+        # reverse must match, list order included, the graph that
+        # add_edge builds from the same arcs flipped.
+        for seed in range(40):
+            spec = RandomGraphSpec(1 + seed % 3, 2 + seed % 6, 0.3, frozenset(Right),
+                                   seed=72_000 + seed)
+            edges = random_graph(spec).edges()
+            random.Random(seed).shuffle(edges)
+            g, flipped = ProtectionGraph(), ProtectionGraph()
+            for graph in (g, flipped):
+                for i in range(spec.n_subjects):
+                    graph.add_vertex(f"s{i}", VertexKind.SUBJECT)
+                for i in range(spec.n_objects):
+                    graph.add_vertex(f"o{i}", VertexKind.OBJECT)
+            for edge in edges:
+                g.add_edge(edge.src, edge.dst, edge.rights)
+                flipped.add_edge(edge.dst, edge.src, edge.rights)
+            assert vars(g.reverse()) == vars(flipped)
 
 
 class TestParse:
