@@ -58,10 +58,8 @@ from typing import Any, Collection
 
 from ._value import Value, set_slot
 from .errors import InvariantViolationError, NotASubjectError, SameIslandError, SameVertexError
-from .graph import _T, ProtectionGraph, Right, VertexId, VertexKind
+from .graph import _OBJECT, _T, ProtectionGraph, Right, VertexId
 from .islands import Island
-
-_OBJECT = VertexKind.OBJECT
 
 
 class Direction(Enum):
@@ -286,19 +284,8 @@ def bridge_exists_faithful(
         added.sort()
         trace.append((len(trace) + 1, tuple(added)))
         if f in reached or not added:
-            return _report(predecessor, trace, direction, s, f)
-
-
-def _report(
-    pred: dict[VertexId, VertexId],
-    trace: list[tuple[int, tuple[VertexId, ...]]],
-    direction: Direction,
-    s: VertexId,
-    f: VertexId,
-) -> SearchReport:
-    """The report of a search that ended with *pred* and *trace*."""
-    path = _path(pred, s, f, direction) if f in pred else None
-    return SearchReport(path is not None, direction, path, len(trace), tuple(trace))
+            path = _path(predecessor, s, f, direction) if f in predecessor else None
+            return SearchReport(path is not None, direction, path, len(trace), tuple(trace))
 
 
 def _path(
@@ -381,7 +368,7 @@ def validate_path(g: ProtectionGraph, path: BridgePath) -> None:
                 f"no t arc backs the step {g.vertex_name(a)} -> {g.vertex_name(b)}"
             )
     for v in verts[1:-1]:
-        if g.vertex_kind(v) is not VertexKind.OBJECT:
+        if g.vertex_kind(v) is not _OBJECT:
             raise InvariantViolationError(
                 f"interior vertex {g.vertex_name(v)} is not an object"
             )

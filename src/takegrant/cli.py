@@ -6,7 +6,10 @@ input that is not UTF-8), 3 internal invariant violation or any other
 unexpected failure.  A crash must never exit 1, which would read as
 "no bridge".  Every subcommand that reads a graph accepts a file path
 or ``-`` for stdin, which is decoded as a file is (strict UTF-8,
-universal newlines).
+universal newlines).  A closed standard input (for a graph read from
+``-``) or a closed standard output (for every subcommand but
+``gen -o FILE``) exits 2 with one ``error:`` line; a closed standard
+output is caught before any work is done.
 """
 
 from __future__ import annotations
@@ -243,12 +246,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        # Python sets sys.stdout to None when it starts with fd 1 closed,
+        # and print() then drops the output silently.  gen -o FILE is the
+        # one subcommand that need not write to stdout.
+        if sys.stdout is None and getattr(args, "output", "-") == "-":
+            raise OSError("cannot write the output to stdout: standard output is closed")
         return args.func(args)
-    except ParseError as exc:
-        return _usage_error(str(exc))
-    except (UnknownVertexError, SameVertexError, SameIslandError, EmptySpecError) as exc:
-        return _usage_error(str(exc))
-    except OSError as exc:
+    except (
+        ParseError, UnknownVertexError, SameVertexError, SameIslandError, EmptySpecError, OSError
+    ) as exc:
         return _usage_error(str(exc))
     except UnicodeDecodeError as exc:
         return _usage_error(f"input is not valid UTF-8: {exc}")

@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import re
 from enum import Enum
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from ._value import Value, set_slot
 from .errors import (
@@ -70,6 +70,9 @@ class VertexKind(Enum):
     OBJECT = "object"
 
 
+# Read once here: a VertexKind.X lookup per vertex costs more than the
+# comparison it feeds.
+_SUBJECT = VertexKind.SUBJECT
 _OBJECT = VertexKind.OBJECT
 
 
@@ -133,7 +136,7 @@ class ProtectionGraph:
     Inside the package, the frontier engine reads the t-lists, their
     object counters and ``_kinds`` directly, the faithful engine re-scans
     ``_out`` (``_reversed_out()`` for backward walks), and the islands code
-    reads ``_subject_tg_links``; nothing outside the package should.
+    reads ``_out`` and ``_kinds``; nothing outside the package should.
     """
 
     def __init__(self) -> None:
@@ -236,14 +239,11 @@ class ProtectionGraph:
         except KeyError:
             raise UnknownVertexError(f"no vertex named {name!r}") from None
 
-    def has_vertex(self, name: str) -> bool:
-        return name in self._ids
-
     def subjects(self) -> list[VertexId]:
-        return [v for v, k in enumerate(self._kinds) if k is VertexKind.SUBJECT]
+        return [v for v, k in enumerate(self._kinds) if k is _SUBJECT]
 
     def objects(self) -> list[VertexId]:
-        return [v for v, k in enumerate(self._kinds) if k is VertexKind.OBJECT]
+        return [v for v, k in enumerate(self._kinds) if k is _OBJECT]
 
     # ---- arc queries ---------------------------------------------------
 
@@ -310,18 +310,6 @@ class ProtectionGraph:
         g._t_succ = [[] for _ in range(n)]
         g._t_pred = [[] for _ in range(n)]
         return g
-
-    # ---- package-internal views ------------------------------------------
-
-    def _subject_tg_links(self) -> Iterator[tuple[VertexId, VertexId]]:
-        """Every subject pair (u, w) joined by an arc u -> w carrying t or g."""
-        kinds = self._kinds
-        subject = VertexKind.SUBJECT
-        for u, adj in enumerate(self._out):
-            if kinds[u] is subject:
-                for w, mask in adj.items():
-                    if mask & _TG and kinds[w] is subject:
-                        yield u, w
 
     # ---- dunder ---------------------------------------------------------
 
@@ -395,8 +383,7 @@ def parse_graph(text: str) -> ProtectionGraph:
                 raise ParseError(lineno, f"bad vertex name {name!r}")
             if name in ids:
                 raise ParseError(lineno, f"duplicate vertex {name!r}")
-            kind = VertexKind.SUBJECT if keyword == "subject" else VertexKind.OBJECT
-            g.add_vertex(name, kind)
+            g.add_vertex(name, _SUBJECT if keyword == "subject" else _OBJECT)
         else:
             raise ParseError(lineno, f"unknown keyword {keyword!r}")
     return g

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from ._value import Value, set_slot
 from .errors import NotASubjectError
-from .graph import ProtectionGraph, VertexId, VertexKind
+from .graph import _SUBJECT, _TG, ProtectionGraph, VertexId
 
 
 class Island(Value):
@@ -25,27 +25,29 @@ class Island(Value):
         set_slot(self, "members", members)
 
 
-class _UnionFind:
-    def __init__(self, items: list[VertexId]) -> None:
-        self._parent = {v: v for v in items}
-
-    def find(self, v: VertexId) -> VertexId:
-        root = v
-        while self._parent[root] != root:
-            root = self._parent[root]
-        while self._parent[v] != root:  # path compression
-            self._parent[v], v = root, self._parent[v]
-        return root
-
-    def union(self, a: VertexId, b: VertexId) -> None:
-        self._parent[self.find(a)] = self.find(b)
+def _root(parent: list[VertexId], v: VertexId) -> VertexId:
+    """The root of v's tree in *parent*, halving the path on the way."""
+    while parent[v] != v:
+        # Path halving (Tarjan & van Leeuwen 1984): v skips to its grandparent.
+        parent[v] = parent[parent[v]]
+        v = parent[v]
+    return v
 
 
-def _subject_union_find(g: ProtectionGraph) -> _UnionFind:
-    uf = _UnionFind(g.subjects())
-    for u, w in g._subject_tg_links():
-        uf.union(u, w)
-    return uf
+def _forest(g: ProtectionGraph) -> list[VertexId]:
+    """Union-find parents, indexed by vertex id, for the islands of *g*.
+
+    Two subjects share a root exactly when they share an island; every
+    object is its own root.
+    """
+    kinds = g._kinds
+    parent = list(range(len(kinds)))
+    for u, adj in enumerate(g._out):
+        if kinds[u] is _SUBJECT:
+            for w, mask in adj.items():
+                if mask & _TG and kinds[w] is _SUBJECT:
+                    parent[_root(parent, u)] = _root(parent, w)
+    return parent
 
 
 def compute_islands(g: ProtectionGraph) -> list[Island]:
@@ -55,20 +57,21 @@ def compute_islands(g: ProtectionGraph) -> list[Island]:
     carries take or grant.  Islands come back sorted by their smallest
     member id, and that sort position is the island's index.
     """
-    uf = _subject_union_find(g)
+    parent = _forest(g)
+    # Subjects come ascending, so each group is created at its smallest
+    # member and the dict already holds the groups in island order.
     groups: dict[VertexId, list[VertexId]] = {}
     for v in g.subjects():
-        groups.setdefault(uf.find(v), []).append(v)
-    ordered = sorted(groups.values(), key=lambda members: members[0])
-    return [Island(index=i, members=tuple(members)) for i, members in enumerate(ordered)]
+        groups.setdefault(_root(parent, v), []).append(v)
+    return [Island(index=i, members=tuple(members)) for i, members in enumerate(groups.values())]
 
 
 def same_island(g: ProtectionGraph, u: VertexId, v: VertexId) -> bool:
     """True iff subjects u and v land in the same island of *g*."""
     for vertex in (u, v):
-        if g.vertex_kind(vertex) is not VertexKind.SUBJECT:
+        if g.vertex_kind(vertex) is not _SUBJECT:
             raise NotASubjectError(
                 f"vertex {g.vertex_name(vertex)!r} is an object; islands contain only subjects"
             )
-    uf = _subject_union_find(g)
-    return uf.find(u) == uf.find(v)
+    parent = _forest(g)
+    return _root(parent, u) == _root(parent, v)

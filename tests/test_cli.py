@@ -240,6 +240,42 @@ class TestExitCodeContract:
         assert proc.stderr == "error: cannot read the graph from stdin: standard input is closed\n"
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ["islands", "{}"],
+            ["bridge", "{}", "s", "f"],
+            ["bridges", "{}", "0", "1"],
+            ["check", "--trials", "2"],
+            ["gen"],
+        ],
+        ids=["islands", "bridge", "bridges", "check", "gen"],
+    )
+    def test_closed_stdout_is_usage_error(self, figure_file, argv):
+        # Python sets sys.stdout to None when it starts with fd 1 closed.
+        proc = subprocess.run(
+            [sys.executable, "-m", "takegrant.cli", *(a.format(figure_file) for a in argv)],
+            env={**os.environ, "PYTHONPATH": SRC},
+            preexec_fn=lambda: os.close(1),
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == "error: cannot write the output to stdout: standard output is closed\n"
+
+    def test_gen_to_a_file_needs_no_stdout(self, tmp_path):
+        closed, open_ = tmp_path / "closed.tgg", tmp_path / "open.tgg"
+        proc = subprocess.run(
+            [sys.executable, "-m", "takegrant.cli", "gen", "-o", str(closed)],
+            env={**os.environ, "PYTHONPATH": SRC},
+            preexec_fn=lambda: os.close(1),
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert cli.main(["gen", "-o", str(open_)]) == 0
+        assert closed.read_bytes() == open_.read_bytes()
+
+    @pytest.mark.parametrize(
         "data",
         [
             b"tgg 1\nsubject s\nobject x\nsubject \xff\n",

@@ -3,7 +3,15 @@ from __future__ import annotations
 import pytest
 from hypothesis import given
 
-from takegrant import NotASubjectError, Right, compute_islands, parse_graph, same_island
+from takegrant import (
+    NotASubjectError,
+    ProtectionGraph,
+    Right,
+    VertexKind,
+    compute_islands,
+    parse_graph,
+    same_island,
+)
 
 from helpers import (
     LENGTH2_BRIDGE_TGG,
@@ -122,3 +130,26 @@ def test_t_only_projection_helper_keeps_t_partition():
     )
     proj = t_only_projection(g)
     assert [i.members for i in compute_islands(proj)] == [(0, 1)]
+
+
+@given(graphs(max_subjects=6, max_objects=3))
+def test_same_island_agrees_with_partition(g):
+    island_of = {v: island.index for island in compute_islands(g) for v in island.members}
+    subjects = g.subjects()
+    for u in subjects:
+        for v in subjects:
+            assert same_island(g, u, v) == (island_of[u] == island_of[v])
+
+
+@pytest.mark.parametrize("backward", [False, True], ids=["forward", "backward"])
+def test_long_grant_chain_is_one_island(backward):
+    # Deep enough that a recursive root lookup would overflow the stack.
+    n = 20_000
+    g = ProtectionGraph()
+    for i in range(n):
+        g.add_vertex(f"s{i}", VertexKind.SUBJECT)
+    for i in range(n - 1):
+        src, dst = (i + 1, i) if backward else (i, i + 1)
+        g.add_edge(src, dst, {Right.G})
+    assert [(i.index, i.members) for i in compute_islands(g)] == [(0, tuple(range(n)))]
+    assert same_island(g, 0, n - 1)
