@@ -156,7 +156,17 @@ class ProtectionGraph:
     # ---- construction ------------------------------------------------
 
     def add_vertex(self, name: str, kind: VertexKind) -> VertexId:
-        """Declare a vertex; returns its dense id (0, 1, 2, ...)."""
+        """Declare a vertex; returns its dense id (0, 1, 2, ...).
+
+        A name that is not a ``str`` raises ``InvalidNameError`` and a kind
+        that is not a ``VertexKind`` raises ``TypeError``, leaving the
+        graph unchanged.
+        """
+        if not isinstance(name, str):
+            raise InvalidNameError(f"vertex name must be a str, got {name!r}")
+        # Any other kind would be neither subject nor object.
+        if kind.__class__ is not VertexKind:
+            raise TypeError(f"kind must be a VertexKind, got {kind!r}")
         if not _NAME_RE.match(name):
             raise InvalidNameError(
                 f"vertex name must match [A-Za-z0-9_.-]+, got {name!r}"

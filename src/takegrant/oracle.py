@@ -1,20 +1,23 @@
 """Ground truth and corpus generation for exercising the search engines.
 
 ``brute_force_bridge`` answers bridge queries by recursive enumeration
-of simple paths -- a deliberately different strategy from the worklist
-engines, so a bug in one is unlikely to hide in the other.
+of simple paths, shortest first, stopping at the first length that no
+simple path reaches -- a deliberately different strategy from the
+worklist engines, so a bug in one is unlikely to hide in the other.
 ``enumerate_t_arc_graphs`` walks every t-arc pattern over a small fixed
 vertex set, and ``random_graph`` draws reproducible graphs from a
 seeded SplitMix64 stream.
 
 Both hand their arcs to the graph as rights masks, skipping
-``add_edge``'s checks on ids and rights they made themselves;
-``random_graph`` compares each draw as an integer, which decides
-exactly as ``next_unit() < p`` would.
+``add_edge``'s checks on ids and rights they made themselves.
+``random_graph`` runs SplitMix64 on up to 1,024 draws at once, one per
+128-bit lane of a Python int, and reads each draw's decision, exactly
+the one ``next_unit() < p`` would make, from one bit of its lane.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Iterator, Sequence
 
@@ -24,6 +27,10 @@ from .errors import EmptySpecError, InvalidRightError, TooLargeError
 from .graph import _BIT, _T, RIGHT_ORDER, ProtectionGraph, Right, VertexId, VertexKind
 
 _MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+
+# random_graph draws this many candidates per pass of _mix.
+_BLOCK = 1024
 
 # Past this many vertices the t-arc family (2 ** (n * (n - 1)) graphs)
 # stops being enumerable in reasonable time.
@@ -72,15 +79,37 @@ class SplitMix64:
         self._state = seed & _MASK64
 
     def next_u64(self) -> int:
-        self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
-        z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return z ^ (z >> 31)
+        self._state = (self._state + _GAMMA) & _MASK64
+        return _mix(self._state, _MASK64)
 
     def next_unit(self) -> float:
         """Uniform float in [0, 1), from the top 53 bits."""
         return (self.next_u64() >> 11) * 2.0**-53
+
+
+def _mix(z: int, m: int) -> int:
+    """SplitMix64's output function, on every 128-bit lane of *z* at once.
+
+    Each lane holds one 64-bit state in its low half and *m* is 2**64 - 1
+    in every lane, so one lane is plain SplitMix64.  Masking after each
+    shift-xor drops the bits the shift pulled in from the next lane, and
+    a 64x64-bit product fits its 128-bit lane, so no lane leaks into
+    another (Lamport's SWAR, CACM 18(8), 1975, on a Python int).
+    """
+    z = ((z ^ (z >> 30)) & m) * 0xBF58476D1CE4E5B9 & m
+    z = ((z ^ (z >> 27)) & m) * 0x94D049BB133111EB & m
+    return (z ^ (z >> 31)) & m
+
+
+@functools.cache
+def _lanes() -> tuple[int, int, int]:
+    """1, 2**64 - 1 and (i+1)*gamma mod 2**64 in lane i, over ``_BLOCK`` lanes."""
+    steps = b"".join(((i + 1) * _GAMMA & _MASK64).to_bytes(16, "little") for i in range(_BLOCK))
+    return (
+        int.from_bytes((b"\x01" + bytes(15)) * _BLOCK, "little"),
+        int.from_bytes((b"\xff" * 8 + bytes(8)) * _BLOCK, "little"),
+        int.from_bytes(steps, "little"),
+    )
 
 
 def random_graph(spec: RandomGraphSpec) -> ProtectionGraph:
@@ -92,10 +121,14 @@ def random_graph(spec: RandomGraphSpec) -> ProtectionGraph:
     every pooled right in t, g, r, w order, a single draw decides
     whether that arc carries that right (``next_unit() < arc_probability``).
 
-    The test is ``next_u64() < ceil(p * 2**53) << 11``, which holds
-    exactly when ``next_unit() < p`` does (``p * 2**53`` is exact), and
-    a pair's rights go in as one mask.  A pool item that is not a
-    ``Right`` raises ``InvalidRightError``; an empty pool gives no arcs.
+    That holds exactly when ``next_u64() < ceil(p * 2**53) << 11``
+    (``p * 2**53`` is exact).  Draws are made ``_BLOCK`` at a time, one
+    per 128-bit lane of a Python int, by ``_mix``; a lane holding
+    ``2**64 + limit - 1`` minus the draw keeps bit 64 set exactly when
+    the draw is below ``limit``, so byte 8 of each lane is the decision.
+    Only the hits are visited, and a pair's rights go in as one mask.
+    A pool item that is not a ``Right`` raises ``InvalidRightError``; an
+    empty pool gives no arcs.
     """
     if spec.n_subjects < 0 or spec.n_objects < 0:
         raise ValueError("vertex counts must be non-negative")
@@ -113,19 +146,41 @@ def random_graph(spec: RandomGraphSpec) -> ProtectionGraph:
     for i in range(spec.n_objects):
         g.add_vertex(f"o{i}", VertexKind.OBJECT)
     bits = [_BIT[r] for r in RIGHT_ORDER if r in spec.rights_pool]
-    draw = SplitMix64(spec.seed).next_u64
+    width = len(bits)
+    draws = total * (total - 1) * width
+    if not draws:
+        return g
     limit = math.ceil(spec.arc_probability * 2.0**53) << 11
+    one, low, steps = _lanes()
+    # One int object per vertex id, shared by every arc that names it.
+    ids = list(range(total))
     insert = g._insert
-    for src in range(total):
-        for dst in range(total):
-            if src == dst:
-                continue
-            mask = 0
-            for bit in bits:
-                if draw() < limit:
-                    mask |= bit
-            if mask:
-                insert(src, dst, mask)
+    bound = (_MASK64 + limit) * one
+    state = spec.seed & _MASK64
+    pair = -1
+    mask = 0
+    for start in range(0, draws, _BLOCK):
+        k = min(_BLOCK, draws - start)
+        if k < _BLOCK:
+            cut = (1 << 128 * k) - 1
+            one, low, steps, bound = one & cut, low & cut, steps & cut, bound & cut
+        z = _mix((state * one + steps) & low, low)
+        state = (state + _BLOCK * _GAMMA) & _MASK64
+        hits = (bound - z).to_bytes(16 * k, "little")[8::16]
+        j = hits.find(1)
+        while j >= 0:
+            at, r = divmod(start + j, width)
+            if at != pair:
+                if mask:
+                    src, d = divmod(pair, total - 1)
+                    insert(ids[src], ids[d + (d >= src)], mask)
+                pair = at
+                mask = 0
+            mask |= bits[r]
+            j = hits.find(1, j + 1)
+    if mask:
+        src, d = divmod(pair, total - 1)
+        insert(ids[src], ids[d + (d >= src)], mask)
     return g
 
 
@@ -178,7 +233,9 @@ def brute_force_bridge(
     Recursive depth-first enumeration, shortest lengths first and
     ascending vertex ids within a length, so the returned witness is the
     shortest one and, among shortest, the smallest id sequence.  Returns
-    None only after every simple path length has been exhausted.
+    None once a length L finds no witness and no simple path from *s*
+    reaches L arcs at all: a witness of L+1 arcs would need one, its
+    first L arcs.  Past ``len(traversal) - 1`` arcs nothing is simple.
 
     A vertex's successors are looked up on its first visit and kept for
     the rest of the query, so the graph is asked at most once per
@@ -193,6 +250,8 @@ def brute_force_bridge(
         else g.in_neighbors_with_right
     )
     memo: dict[VertexId, list[VertexId]] = {}
+    # Whether the current length's enumeration reached its full depth.
+    deep = False
 
     def successors(v: VertexId) -> list[VertexId]:
         ws = memo.get(v)
@@ -201,8 +260,10 @@ def brute_force_bridge(
         return ws
 
     def extend(path: list[VertexId], on_path: set[VertexId], remaining: int) -> list[VertexId] | None:
+        nonlocal deep
         v = path[-1]
         if remaining == 0:
+            deep = True
             return list(path) if v == f else None
         if v == f:  # f can only be the final vertex of a simple witness
             return None
@@ -219,7 +280,10 @@ def brute_force_bridge(
         return None
 
     for length in range(1, len(traversal)):
+        deep = False
         hit = extend([s], {s}, length)
         if hit is not None:
             return BridgePath(tuple(hit), direction)
+        if not deep:
+            return None
     return None

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import os
@@ -479,6 +480,13 @@ class TestGenCommand:
 
     def test_empty_spec(self, capsys):
         assert cli.main(["gen", "--subjects", "0", "--objects", "0"]) == 2
+
+    def test_cli_large_graph_bytes_are_pinned(self, capsys):
+        # sha256 of this stdout, recorded from the one-draw-at-a-time generator.
+        argv = ["gen", "--subjects", "40", "--objects", "420", "--p", "0.03", "--rights", "tgrw", "--seed", "7"]
+        assert cli.main(argv) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == "cda1d63172402143a76063595abe75a681d4e56353573041c49c853c41662860"
 
 
 class TestParserPlumbing:

@@ -69,6 +69,23 @@ class TestConstruction:
         with pytest.raises(InvalidNameError):
             new_graph().add_vertex(bad, VertexKind.SUBJECT)
 
+    @pytest.mark.parametrize("bad", [123, None, b"s", ("s",)])
+    def test_name_that_is_not_a_str_rejected(self, bad):
+        g = make_graph([("s", "s")])
+        before = copy.deepcopy(vars(g))
+        with pytest.raises(InvalidNameError):
+            g.add_vertex(bad, VertexKind.OBJECT)
+        assert vars(g) == before
+
+    @pytest.mark.parametrize("bad", ["object", "subject", None, 1, Right.T])
+    def test_kind_that_is_not_a_vertex_kind_rejected(self, bad):
+        g = make_graph([("s", "s")])
+        before = copy.deepcopy(vars(g))
+        with pytest.raises(TypeError, match="VertexKind"):
+            g.add_vertex("x", bad)
+        assert vars(g) == before
+        assert g.add_vertex("x", VertexKind.OBJECT) == 1
+
     def test_add_edge_and_merge(self):
         g = make_graph([("s", "s"), ("x", "o")])
         g.add_edge(0, 1, {Right.T})

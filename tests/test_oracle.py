@@ -26,6 +26,7 @@ from takegrant import (
     parse_graph,
     random_graph,
     serialize_graph,
+    traversal_set,
     validate_path,
 )
 
@@ -36,6 +37,36 @@ SWEEP_VERTICES = [
     ("f", VertexKind.SUBJECT),
     ("o0", VertexKind.OBJECT),
 ]
+
+
+def uncut_simple_path_witness(g, s, f, direction):
+    """The shortest, then smallest, simple s ~> f take path over the
+    traversal set, trying every length up to the set's size minus one."""
+    allowed = traversal_set(g, s, f)
+    succ = {v: [] for v in allowed}
+    for edge in g.edges():
+        if Right.T in edge.rights and edge.src in allowed and edge.dst in allowed:
+            a, b = (edge.src, edge.dst) if direction is Direction.FORWARD else (edge.dst, edge.src)
+            succ[a].append(b)
+
+    def walk(path, remaining):
+        v = path[-1]
+        if remaining == 0:
+            return tuple(path) if v == f else None
+        if v == f:
+            return None
+        for w in sorted(succ[v]):
+            if w not in path:
+                hit = walk(path + [w], remaining - 1)
+                if hit is not None:
+                    return hit
+        return None
+
+    for length in range(1, len(allowed)):
+        hit = walk([s], length)
+        if hit is not None:
+            return hit
+    return None
 
 
 class TestBruteForce:
@@ -90,6 +121,26 @@ class TestBruteForce:
             [("s", "u", "t"), ("u", "f", "t")],
         )
         assert brute_force_bridge(g, 0, 2) is None
+
+    def test_depth_cutoff_keeps_every_witness(self):
+        # Small dense graphs give hits at every length; the large sparse
+        # ones give misses over traversal sets of up to 42 vertices.
+        rng = random.Random(4711)
+        misses = 0
+        for i in range(1000):
+            if i % 4 == 0:
+                n_objects = rng.randrange(20, 41)
+                p = rng.uniform(0.2, 0.9) / (n_objects + 2)
+            else:
+                n_objects = rng.randrange(0, 10)
+                p = rng.choice([0.05, 0.1, 0.2, 0.35, 0.6])
+            g = random_graph(RandomGraphSpec(rng.randrange(2, 5), n_objects, p, frozenset(Right), i))
+            for direction in (Direction.FORWARD, Direction.BACKWARD):
+                witness = brute_force_bridge(g, 0, 1, direction)
+                expected = uncut_simple_path_witness(g, 0, 1, direction)
+                assert (None if witness is None else witness.vertices) == expected, (i, direction)
+                misses += expected is None and n_objects >= 20
+        assert misses >= 300
 
 
 class TestEnumeration:
@@ -322,6 +373,37 @@ class TestStreams:
             )
             assert vars(random_graph(spec)) == vars(reference_random_graph(spec)), spec
 
+    @pytest.mark.parametrize(
+        "n_subjects, n_objects, pool, draws",
+        [
+            (5, 12, frozenset(Right), 1088),
+            (3, 30, frozenset({Right.T}), 1056),
+            (6, 24, frozenset(Right), 3480),
+        ],
+        ids=["17x4-rights", "33x-t", "four-blocks"],
+    )
+    @pytest.mark.parametrize("p", [0.0, 2.0**-53, 0.004, 0.3, 1 - 2.0**-53, 1.0])
+    @pytest.mark.parametrize("seed", [-(2**64) - 3, 0, 2**64 + 99])
+    def test_draws_across_blocks_match_reference(self, n_subjects, n_objects, pool, draws, p, seed):
+        total = n_subjects + n_objects
+        assert total * (total - 1) * len(pool) == draws  # past 1,024 draws
+        spec = RandomGraphSpec(n_subjects, n_objects, p, pool, seed)
+        assert vars(random_graph(spec)) == vars(reference_random_graph(spec))
+
+    @pytest.mark.parametrize("index", [0, 1, 2, 1022, 1023, 1024, 1025, 2047, 2048, 2161])
+    @pytest.mark.parametrize("k", [1, 3, (1 << 53) - 1])
+    def test_every_draw_position_decides_at_the_limit(self, index, k):
+        # Draw number *index* alone decides one t arc; it sits just below,
+        # at, or just above limit = k << 11, the compare's edge.
+        p = k * 2.0**-53
+        limit = k << 11
+        pairs = [(a, b) for a in range(47) for b in range(47) if a != b]
+        src, dst = pairs[index]
+        for z in (limit - 1, limit, limit + 1):
+            seed = seed_whose_first_draw_is(z) - index * _GAMMA
+            g = random_graph(RandomGraphSpec(1, 46, p, frozenset({Right.T}), seed))
+            assert (g.rights_between(src, dst) == {Right.T}) == (z < limit), (index, z)
+
     @given(draws_and_probabilities())
     @settings(max_examples=400)
     @example((0, 0.0))
@@ -359,3 +441,14 @@ class TestSplitMix64:
 
     def test_seed_masked_to_64_bits(self):
         assert SplitMix64(1 << 64).next_u64() == SplitMix64(0).next_u64()
+
+    @pytest.mark.parametrize("seed", [-(2**63) - 5, -1, 0, 2**64 + 12345, 2**70 + 1])
+    def test_stream_matches_scalar_formula(self, seed):
+        rng = SplitMix64(seed)
+        state = seed & _MASK64
+        for _ in range(5000):
+            state = (state + _GAMMA) & _MASK64
+            z = state
+            z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+            assert rng.next_u64() == z ^ (z >> 31)
