@@ -48,15 +48,29 @@ from .graph import (
     serialize_graph,
 )
 from .islands import Island, compute_islands, same_island
-from .oracle import (
-    RandomGraphSpec,
-    SplitMix64,
-    brute_force_bridge,
-    enumerate_t_arc_graphs,
-    random_graph,
-)
 
 __version__ = "0.1.0"
+
+# The brute-force oracle and the generators serve the tests and the
+# `check` and `gen` commands; they load on first use (PEP 562), so a
+# query never compiles or imports them.
+_ORACLE_NAMES = frozenset(
+    {"RandomGraphSpec", "SplitMix64", "brute_force_bridge", "enumerate_t_arc_graphs", "random_graph"}
+)
+
+
+def __getattr__(name: str) -> object:
+    if name not in _ORACLE_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import oracle
+
+    value = globals()[name] = getattr(oracle, name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_ORACLE_NAMES})
+
 
 __all__ = [
     "BridgePath",

@@ -26,13 +26,16 @@ graph.  It stops as soon as nothing claimable is left (saturation):
 the graph counts the objects some t arc enters (forward) or leaves
 (backward), so the number of claimable vertices costs O(1) per query,
 and once every one of them is reached the rest of the scan could claim
-nothing.  Each query keeps its predecessors in a fresh list indexed by
-vertex id, so claiming a vertex is one index and one identity test.
-A query thus costs one O(vertices) list fill, done in C, plus O(t arcs
-out of the vertices it scans), at most the t arcs out of the reached
-set.  The core takes a set of goals: ``bridge_exists`` is the
-single-goal case, and ``bridges_between_islands`` runs one search per
-source island member with every member of the other island as a goal.
+nothing.  Each query keeps its predecessors in a list indexed by vertex
+id, copied in C from a template the graph keeps (``None`` for an
+object, its own id for a subject), with ``None`` written over the
+goals.  Only objects and goals start out unclaimed, so claiming a
+vertex costs one index and one identity test, with no kind or goal
+lookup.  A query thus costs one O(vertices) list copy plus O(t arcs out
+of the vertices it scans), at most the t arcs out of the reached set.
+The core takes a set of goals: ``bridge_exists`` is the single-goal
+case, and ``bridges_between_islands`` runs one search per source island
+member with every member of the other island as a goal.
 
 Pass semantics, shared by both engines and pinned by the tests:
 
@@ -156,13 +159,16 @@ def _search(
 
     Returns ``(pred, trace)``: ``pred`` is indexed by vertex id and holds,
     for each reached vertex, the vertex whose arc first claimed it (``s``
-    holds itself) and ``None`` for every other vertex; ``trace`` holds
-    one ``(pass_number, ids_added)`` entry per pass.  Objects and goals
-    may be claimed; claimed objects are expanded on the next pass, goals
-    never are.  The search ends after the pass that reaches the last
-    goal, after a pass that adds nothing, or as soon as nothing claimable
-    is left (see ``bridge_exists``).  It costs one O(vertices) fill of
-    ``pred`` plus O(t arcs out of the vertices it scans).
+    holds itself), ``None`` for every unreached object and goal, and
+    their own id for the other subjects, which no search may claim;
+    ``trace`` holds one ``(pass_number, ids_added)`` entry per pass.
+    *goals* is a one-tuple or, for several goals, a frozenset.
+    Objects and goals may be claimed; claimed objects are expanded on
+    the next pass, goals never are.  The search ends after the pass that
+    reaches the last goal, after a pass that adds nothing, or as soon as
+    nothing claimable is left (see ``bridge_exists``).  It costs one
+    O(vertices) copy of the graph's predecessor template plus O(t arcs
+    out of the vertices it scans).
     """
     if direction is Direction.FORWARD:
         step, into, entered = g._t_succ, g._t_pred, g._t_entered_objects
@@ -182,9 +188,13 @@ def _search(
     several = len(goals) > 1
     pending = list(goals)
     goal = pending.pop()  # the goal each pass end checks first
-    # One slot per vertex: a C-level fill, and a claim test that is one
-    # index and one identity check instead of a dict lookup.
-    pred: list[VertexId | None] = [None] * len(kinds)
+    # One slot per vertex, copied in C from the graph's template: None
+    # for objects, a subject's own id for subjects.  Clearing the goals
+    # leaves None exactly on what may be claimed, so a claim test is one
+    # index and one identity check.
+    pred = g._pred_seed.copy()
+    for f in goals:
+        pred[f] = None
     pred[s] = s
     trace: list[tuple[int, tuple[VertexId, ...]]] = []
     frontier: list[VertexId] = [s] if remaining else []
@@ -194,7 +204,7 @@ def _search(
         added: list[VertexId] = []
         for v in frontier:
             for w in step[v]:
-                if pred[w] is None and (kinds[w] is _OBJECT or w in goals):
+                if pred[w] is None:
                     pred[w] = v
                     added.append(w)
                     remaining -= 1
@@ -213,7 +223,7 @@ def _search(
             goal = pending.pop()
         if not added:
             return pred, trace
-        if several:
+        if several and not goals.isdisjoint(frontier):
             # Goals are claimed, never expanded.
             frontier = [w for w in frontier if w not in goals]
 
@@ -236,7 +246,7 @@ def bridge_exists(
     is a subject, that some t arc enters in the walk direction -- from
     counters the graph keeps, and stops scanning as soon as that count
     reaches zero, recording the empty pass a full scan would end with.
-    A query therefore costs one O(vertices) fill of its predecessor list
+    A query therefore costs one O(vertices) copy of its predecessor list
     plus O(t arcs out of the vertices it scans): at most the t arcs out
     of the reached set, and on a worst-case miss only up to the arc that
     claims the last claimable vertex.  This is the single-goal case of
@@ -244,6 +254,7 @@ def bridge_exists(
     """
     check_query(g, s, f, direction)
     pred, trace = _search(g, s, (f,), direction)
+    # f is a goal, so its slot is None until a search claims it.
     path = _path(pred, s, f, direction) if pred[f] is not None else None
     return SearchReport(path is not None, direction, path, len(trace), tuple(trace))
 
@@ -344,7 +355,7 @@ def bridges_between_islands(
     found: list[tuple[VertexId, VertexId, BridgePath]] = []
     for s in island_a.members:
         pred, _ = _search(g, s, goals, direction)
-        for f in island_b.members:
+        for f in island_b.members:  # all goals: None until claimed
             if pred[f] is not None:
                 found.append((s, f, _path(pred, s, f, direction)))
     return found

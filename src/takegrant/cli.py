@@ -38,7 +38,6 @@ from .errors import (
 )
 from .graph import ProtectionGraph, Right, VertexKind, parse_graph, serialize_graph
 from .islands import compute_islands
-from .oracle import RandomGraphSpec, brute_force_bridge, random_graph
 
 EXIT_FOUND = 0
 EXIT_NOT_FOUND = 1
@@ -138,6 +137,9 @@ def _cmd_check(args: argparse.Namespace) -> int:
         return _usage_error("check needs at least 2 subjects for its query endpoints")
     if args.objects < 0:
         return _usage_error("--objects must be >= 0")
+    # Here, not at the top: the queries never need the oracle module.
+    from .oracle import RandomGraphSpec, brute_force_bridge, random_graph
+
     # Rights beyond t are generated as noise: a correct search never
     # reacts to them, so disagreement flags label-filtering bugs too.
     pool = frozenset(Right)
@@ -179,6 +181,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         return _usage_error("--p must be in [0, 1]")
     if args.subjects < 0 or args.objects < 0:
         return _usage_error("vertex counts must be >= 0")
+    from .oracle import RandomGraphSpec, random_graph
+
     spec = RandomGraphSpec(args.subjects, args.objects, args.p, frozenset(args.rights), args.seed)
     text = serialize_graph(random_graph(spec))
     if args.output == "-":

@@ -134,14 +134,19 @@ class ProtectionGraph:
     mutation needs exclusive access.
 
     Inside the package, the frontier engine reads the t-lists, their
-    object counters and ``_kinds`` directly, the faithful engine re-scans
-    ``_out`` (``_reversed_out()`` for backward walks), and the islands code
-    reads ``_out`` and ``_kinds``; nothing outside the package should.
+    object counters, ``_kinds`` and ``_pred_seed`` (the template of its
+    predecessor list) directly, the faithful engine re-scans ``_out``
+    (``_reversed_out()`` for backward walks), and the islands code reads
+    ``_out`` and ``_kinds``; nothing outside the package should.
     """
 
     def __init__(self) -> None:
         self._names: list[str] = []
         self._kinds: list[VertexKind] = []
+        # Per vertex, None for an object and its own id for a subject:
+        # each frontier search copies this as its predecessor list, so
+        # only objects (and the goals it clears) start out claimable.
+        self._pred_seed: list[VertexId | None] = []
         self._ids: dict[str, VertexId] = {}
         # The one arc store: _out[src][dst] is the rights mask of src -> dst.
         self._out: list[dict[VertexId, int]] = []
@@ -176,6 +181,7 @@ class ProtectionGraph:
         vid = len(self._names)
         self._names.append(name)
         self._kinds.append(kind)
+        self._pred_seed.append(None if kind is _OBJECT else vid)
         self._ids[name] = vid
         self._out.append({})
         self._t_succ.append([])
@@ -315,6 +321,7 @@ class ProtectionGraph:
         g = ProtectionGraph()
         g._names = self._names.copy()
         g._kinds = self._kinds.copy()
+        g._pred_seed = self._pred_seed.copy()
         g._ids = self._ids.copy()
         g._out = [{} for _ in range(n)]
         g._t_succ = [[] for _ in range(n)]

@@ -204,22 +204,26 @@ def enumerate_t_arc_graphs(
         raise TooLargeError(
             f"{len(vertices)} vertices exceed the {max_vertices}-vertex cap"
         )
-    fixed = list(vertices)
-    n = len(fixed)
+    n = len(vertices)
+    return _t_arc_graphs(list(vertices), 0, 1 << n * (n - 1))
+
+
+def _t_arc_graphs(
+    vertices: list[tuple[str, VertexKind]], start: int, stop: int
+) -> Iterator[ProtectionGraph]:
+    """Graphs number *start* to *stop* - 1 of ``enumerate_t_arc_graphs``,
+    so a sweep can be split without building the graphs it skips."""
+    n = len(vertices)
     pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
-
-    def generate() -> Iterator[ProtectionGraph]:
-        template = ProtectionGraph()
-        for name, kind in fixed:
-            template.add_vertex(name, kind)
-        for code in range(1 << len(pairs)):
-            g = template._without_arcs()
-            for bit, (a, b) in enumerate(pairs):
-                if code >> bit & 1:
-                    g._insert(a, b, _T)
-            yield g
-
-    return generate()
+    template = ProtectionGraph()
+    for name, kind in vertices:
+        template.add_vertex(name, kind)
+    for code in range(start, stop):
+        g = template._without_arcs()
+        for bit, (a, b) in enumerate(pairs):
+            if code >> bit & 1:
+                g._insert(a, b, _T)
+        yield g
 
 
 def brute_force_bridge(

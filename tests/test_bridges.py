@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import multiprocessing
 import random
 
 import pytest
@@ -20,13 +21,14 @@ from takegrant import (
     bridges_between_islands,
     brute_force_bridge,
     compute_islands,
-    enumerate_t_arc_graphs,
     find_bridge_path,
     parse_graph,
     random_graph,
+    serialize_graph,
     traversal_set,
     validate_path,
 )
+from takegrant.oracle import _t_arc_graphs
 
 from helpers import (
     LENGTH2_BRIDGE_TGG,
@@ -522,16 +524,37 @@ class TestProperties:
         assert bridge_exists(g, s, f) == bridge_exists(g, s, f)
 
 
-@pytest.mark.slow
-def test_exhaustive_five_traversal_vertices_match_oracle():
-    # Every t-arc pattern over s, f and three objects: 2^20 graphs.
-    vertices = [("s", VertexKind.SUBJECT), ("f", VertexKind.SUBJECT)] + [
-        (f"o{i}", VertexKind.OBJECT) for i in range(3)
-    ]
-    for g in enumerate_t_arc_graphs(vertices):
+SWEEP_VERTICES = [("s", VertexKind.SUBJECT), ("f", VertexKind.SUBJECT)] + [
+    (f"o{i}", VertexKind.OBJECT) for i in range(3)
+]
+SWEEP_GRAPHS = 1 << 20  # one graph per subset of the 20 ordered pairs
+
+
+def _sweep_shard(bounds: tuple[int, int]) -> int:
+    """Check graphs number start to stop - 1 of the sweep; returns the cases run."""
+    start, stop = bounds
+    cases = 0
+    for g in _t_arc_graphs(SWEEP_VERTICES, start, stop):
         for direction in BOTH:
             witness = brute_force_bridge(g, 0, 1, direction)
-            assert bridge_exists(g, 0, 1, direction).exists == (witness is not None)
+            assert bridge_exists(g, 0, 1, direction).exists == (witness is not None), (
+                serialize_graph(g),
+                direction,
+            )
+            cases += 1
+    return cases
+
+
+@pytest.mark.slow
+def test_exhaustive_five_traversal_vertices_match_oracle():
+    # Every t-arc pattern over s, f and three objects: 2^20 graphs, in
+    # two halves checked by exactly two worker processes.  Spawned, not
+    # forked: the workers import this module afresh.
+    half = SWEEP_GRAPHS // 2
+    with multiprocessing.get_context("spawn").Pool(2) as pool:
+        shards = pool.map_async(_sweep_shard, [(0, half), (half, SWEEP_GRAPHS)])
+        cases = shards.get(timeout=900)
+    assert sum(cases) == SWEEP_GRAPHS * len(BOTH)
 
 
 class TestChainFamily:

@@ -14,6 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import takegrant.cli as cli
+import takegrant.oracle as oracle
 from takegrant import (
     BridgePath,
     Direction,
@@ -400,8 +401,9 @@ class TestCheckCommand:
 
     def test_first_disagreement_is_named_and_replayable(self, capsys, monkeypatch):
         # An oracle that errs on its 6th and 8th calls: trial 2 backward,
-        # then trial 3 backward.  Only the first is named.
-        real = cli.brute_force_bridge
+        # then trial 3 backward.  Only the first is named.  `check`
+        # imports the oracle when it runs, so the oracle module is patched.
+        real = oracle.brute_force_bridge
         calls = []
 
         def flaky(g, s, f, direction):
@@ -411,7 +413,7 @@ class TestCheckCommand:
                 return None if witness is not None else BridgePath((s, f), direction)
             return witness
 
-        monkeypatch.setattr(cli, "brute_force_bridge", flaky)
+        monkeypatch.setattr(oracle, "brute_force_bridge", flaky)
         argv = ["check", "--trials", "5", "--seed", "40", "--subjects", "3", "--objects", "2", "--p", "0.25"]
         assert cli.main(argv) == 3
         captured = capsys.readouterr()
@@ -491,10 +493,12 @@ class TestGenCommand:
 
 class TestParserPlumbing:
     def test_import_pulls_in_no_dataclasses_inspect_or_json(self):
-        # -S keeps site-packages .pth imports out of sys.modules.
+        # -S keeps site-packages .pth imports out of sys.modules.  The
+        # oracle serves only `check` and `gen`, which import it themselves.
         code = (
             "import sys, takegrant.cli; "
-            "print(' '.join(m for m in ('dataclasses', 'inspect', 'json') if m in sys.modules))"
+            "print(' '.join(m for m in ('dataclasses', 'inspect', 'json', 'takegrant.oracle') "
+            "if m in sys.modules))"
         )
         proc = subprocess.run(
             [sys.executable, "-S", "-c", code],
@@ -502,6 +506,17 @@ class TestParserPlumbing:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "\n"
+
+    def test_star_import_and_dir_list_the_lazy_oracle_names(self):
+        import takegrant
+
+        assert set(takegrant.__all__) <= set(dir(takegrant))
+        namespace: dict[str, object] = {}
+        exec("from takegrant import *", namespace)
+        assert set(takegrant.__all__) <= set(namespace)
+        assert namespace["random_graph"] is oracle.random_graph
+        with pytest.raises(AttributeError, match="no attribute 'oracle_name'"):
+            takegrant.oracle_name
 
     def test_missing_subcommand(self):
         with pytest.raises(SystemExit) as exc:

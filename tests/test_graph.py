@@ -5,7 +5,9 @@ import random
 import re
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from takegrant import (
     Direction,
@@ -29,6 +31,7 @@ from takegrant import (
     parse_graph,
     random_graph,
     serialize_graph,
+    validate_path,
 )
 
 from helpers import LENGTH2_BRIDGE_TGG, graphs, make_graph, tgg_documents
@@ -503,3 +506,109 @@ class TestEquality:
         a = make_graph([("u", "s"), ("v", "s")], [("u", "v", "t"), ("u", "v", "g")])
         b = make_graph([("u", "s"), ("v", "s")], [("u", "v", "g"), ("u", "v", "t")])
         assert a == b
+
+
+# ---- stateful model ----------------------------------------------------
+#
+# The saturation stop trusts the object counters and the frontier engine
+# trusts the t-lists and the predecessor template, all kept up to date on
+# insert.  This machine mutates one graph the ways a caller can and, after
+# every step, recounts each of them from a model kept beside the graph.
+
+RIGHT_SETS = st.frozensets(st.sampled_from(tuple(Right)), min_size=1)
+# A query pair, mapped onto the vertices present by the invariant.
+PROBES = st.tuples(st.integers(0, 63), st.integers(0, 63))
+MAX_MODEL_VERTICES = 8  # keeps the brute-force oracle cheap
+
+
+class GraphModel(RuleBasedStateMachine):
+    def __init__(self):
+        super().__init__()
+        self.g = ProtectionGraph()
+        self.kinds: list[VertexKind] = []
+        self.masks: dict[tuple[int, int], frozenset[Right]] = {}
+        self.t_order: list[tuple[int, int]] = []  # pairs in the order t first appeared
+        self.probe = (0, 1)
+
+    def _add(self, src, dst, rights, probe):
+        self.g.add_edge(src, dst, rights)
+        old = self.masks.get((src, dst), frozenset())
+        self.masks[src, dst] = old | rights
+        if Right.T in rights and Right.T not in old:
+            self.t_order.append((src, dst))
+        self.probe = probe
+
+    @precondition(lambda self: len(self.kinds) < MAX_MODEL_VERTICES)
+    @rule(kind=st.sampled_from(VertexKind), probe=PROBES)
+    def add_vertex(self, kind, probe):
+        assert self.g.add_vertex(f"v{len(self.kinds)}", kind) == len(self.kinds)
+        self.kinds.append(kind)
+        self.probe = probe
+
+    @precondition(lambda self: len(self.kinds) >= 2)
+    @rule(data=st.data(), rights=RIGHT_SETS, probe=PROBES)
+    def add_edge(self, data, rights, probe):
+        src, dst = data.draw(st.lists(st.integers(0, len(self.kinds) - 1), min_size=2, max_size=2, unique=True))
+        self._add(src, dst, rights, probe)
+
+    @precondition(lambda self: self.kinds)
+    @rule(data=st.data(), rights=RIGHT_SETS, probe=PROBES)
+    def add_self_loop(self, data, rights, probe):
+        v = data.draw(st.integers(0, len(self.kinds) - 1))
+        self._add(v, v, rights, probe)
+
+    @precondition(lambda self: any(Right.G in rs and Right.T not in rs for rs in self.masks.values()))
+    @rule(data=st.data(), probe=PROBES)
+    def add_t_to_g_arc(self, data, probe):
+        g_only = sorted(p for p, rs in self.masks.items() if Right.G in rs and Right.T not in rs)
+        self._add(*data.draw(st.sampled_from(g_only)), frozenset({Right.T}), probe)
+
+    @precondition(lambda self: self.masks)
+    @rule(data=st.data(), rights=RIGHT_SETS, probe=PROBES)
+    def repeat_arc(self, data, rights, probe):
+        self._add(*data.draw(st.sampled_from(sorted(self.masks))), rights, probe)
+
+    @invariant()
+    def template_marks_subjects(self):
+        expected = [None if kind is VertexKind.OBJECT else v for v, kind in enumerate(self.kinds)]
+        assert self.g._pred_seed == expected
+
+    @invariant()
+    def arcs_and_t_lists_match_model(self):
+        g, n = self.g, len(self.kinds)
+        assert {(edge.src, edge.dst): edge.rights for edge in g.edges()} == self.masks
+        assert g._t_succ == [[dst for src, dst in self.t_order if src == v] for v in range(n)]
+        assert g._t_pred == [[src for src, dst in self.t_order if dst == v] for v in range(n)]
+
+    @invariant()
+    def object_counters_match_recount(self):
+        objects = {v for v, kind in enumerate(self.kinds) if kind is VertexKind.OBJECT}
+        assert self.g._t_entered_objects == len(objects & {dst for _, dst in self.t_order})
+        assert self.g._t_left_objects == len(objects & {src for src, _ in self.t_order})
+
+    @invariant()
+    def reverse_and_text_round_trip(self):
+        g = self.g
+        assert vars(g.reverse().reverse()) == vars(g)
+        parsed = parse_graph(serialize_graph(g))
+        assert parsed == g
+        assert parsed._pred_seed == g._pred_seed
+
+    @invariant()
+    def engines_agree_on_probe(self):
+        n = len(self.kinds)
+        if n < 2:
+            return
+        s, f = self.probe[0] % n, self.probe[1] % n
+        if s == f:
+            f = (s + 1) % n
+        for direction in (Direction.FORWARD, Direction.BACKWARD):
+            fast = bridge_exists(self.g, s, f, direction)
+            assert fast == bridge_exists_faithful(self.g, s, f, direction)
+            assert fast.exists == (brute_force_bridge(self.g, s, f, direction) is not None)
+            if fast.exists:
+                validate_path(self.g, fast.path)
+
+
+GraphModel.TestCase.settings = settings(max_examples=60, stateful_step_count=25, deadline=None)
+TestGraphModel = GraphModel.TestCase

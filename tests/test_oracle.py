@@ -29,6 +29,7 @@ from takegrant import (
     traversal_set,
     validate_path,
 )
+from takegrant.oracle import _t_arc_graphs
 
 from helpers import LENGTH2_BRIDGE_TGG, make_graph
 
@@ -197,6 +198,12 @@ class TestEnumeration:
         first.add_vertex("extra", VertexKind.OBJECT)
         assert second.vertex_count == 3
         assert second.rights_between(1, 2) == frozenset()
+
+    def test_ranges_split_the_sequence(self):
+        # The exhaustive sweep is split into numbered ranges of this order.
+        whole = [vars(g) for g in enumerate_t_arc_graphs(SWEEP_VERTICES)]
+        parts = [_t_arc_graphs(SWEEP_VERTICES, a, b) for a, b in ((0, 23), (23, 23), (23, 64))]
+        assert [vars(g) for part in parts for g in part] == whole
 
     def test_bad_name_raises_on_first_next(self):
         graphs = enumerate_t_arc_graphs([("s", VertexKind.SUBJECT), ("bad name", VertexKind.OBJECT)])
