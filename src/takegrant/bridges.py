@@ -27,7 +27,7 @@ the graph counts the objects some t arc enters (forward) or leaves
 (backward), so the number of claimable vertices costs O(1) per query,
 and once every one of them is reached the rest of the scan could claim
 nothing.  Each query keeps its predecessors in a list indexed by vertex
-id, copied in C from a template the graph keeps (``None`` for an
+id, copied in C from the graph's one kind table (``None`` for an
 object, its own id for a subject), with ``None`` written over the
 goals.  Only objects and goals start out unclaimed, so claiming a
 vertex costs one index and one identity test, with no kind or goal
@@ -141,8 +141,8 @@ def _check_direction(direction: Direction) -> None:
 def check_query(g: ProtectionGraph, s: VertexId, f: VertexId, direction: Direction) -> None:
     """Validate a bridge query: its direction and its endpoints (existence, distinctness)."""
     _check_direction(direction)
-    g.vertex_kind(s)
-    g.vertex_kind(f)
+    g._require(s)
+    g._require(f)
     if s == f:
         raise SameVertexError(
             f"bridge endpoints must differ, got {g.vertex_name(s)!r} twice"
@@ -167,32 +167,32 @@ def _search(
     the next pass, goals never are.  The search ends after the pass that
     reaches the last goal, after a pass that adds nothing, or as soon as
     nothing claimable is left (see ``bridge_exists``).  It costs one
-    O(vertices) copy of the graph's predecessor template plus O(t arcs
-    out of the vertices it scans).
+    O(vertices) copy of the graph's kind table plus O(t arcs out of the
+    vertices it scans).
     """
     if direction is Direction.FORWARD:
         step, into, entered = g._t_succ, g._t_pred, g._t_entered_objects
     else:
         step, into, entered = g._t_pred, g._t_succ, g._t_left_objects
-    kinds = g._kinds
+    subject_id = g._subject_id
     # Claimable: objects, plus subject goals, that some t arc enters in
     # the walk direction; s is reached already.  Objects entered only
     # from subjects are counted too, so this may overestimate, never
     # underestimate.
-    remaining = entered - (kinds[s] is _OBJECT and bool(into[s]))
+    remaining = entered - (subject_id[s] is None and bool(into[s]))
     for f in goals:
-        if kinds[f] is not _OBJECT and into[f]:
+        if subject_id[f] is not None and into[f]:
             remaining += 1
     # A single goal ends the search in the pass that claims it, so only
     # several goals need claimed goals taken out of the next frontier.
     several = len(goals) > 1
     pending = list(goals)
     goal = pending.pop()  # the goal each pass end checks first
-    # One slot per vertex, copied in C from the graph's template: None
+    # One slot per vertex, copied in C from the graph's kind table: None
     # for objects, a subject's own id for subjects.  Clearing the goals
     # leaves None exactly on what may be claimed, so a claim test is one
     # index and one identity check.
-    pred = g._pred_seed.copy()
+    pred = subject_id.copy()
     for f in goals:
         pred[f] = None
     pred[s] = s

@@ -9,7 +9,8 @@ or ``-`` for stdin, which is decoded as a file is (strict UTF-8,
 universal newlines).  A closed standard input (for a graph read from
 ``-``) or a closed standard output (for every subcommand but
 ``gen -o FILE``) exits 2 with one ``error:`` line; a closed standard
-output is caught before any work is done.
+output is caught before any work is done.  A diagnostic that cannot
+be written to standard error is dropped and never changes the exit code.
 """
 
 from __future__ import annotations
@@ -64,8 +65,17 @@ def _direction(args: argparse.Namespace) -> Direction:
     return Direction.BACKWARD if args.backward else Direction.FORWARD
 
 
+def _diagnose(line: str) -> None:
+    """Print *line* on stderr, or drop it if stderr is closed or fails."""
+    try:
+        if sys.stderr is not None:  # None: the process started with fd 2 closed
+            print(line, file=sys.stderr)
+    except OSError:
+        sys.stderr = None  # else the flush at interpreter exit fails again: exit 120
+
+
 def _usage_error(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
+    _diagnose(f"error: {message}")
     return EXIT_USAGE
 
 
@@ -90,10 +100,9 @@ def _cmd_bridge(args: argparse.Namespace) -> int:
             and g.vertex_kind(s) is VertexKind.SUBJECT
             and g.vertex_kind(f) is VertexKind.SUBJECT
         ):
-            print(
+            _diagnose(
                 f"warning: {args.source} and {args.target} share a direct t arc, "
-                "so they sit in the same island; this is not an inter-island bridge",
-                file=sys.stderr,
+                "so they sit in the same island; this is not an inter-island bridge"
             )
     if args.json:
         import json  # here only: most calls print no JSON, and importing it costs start-up time
@@ -163,11 +172,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
             ok = False
             if not named:
                 # The same spec with --rights tgrw makes gen write this graph.
-                print(
+                _diagnose(
                     f"first disagreement: seed {seed}, {direction.value}, {pair}; replay: "
                     f"takegrant gen --subjects {args.subjects} --objects {args.objects} "
-                    f"--p {args.p} --rights tgrw --seed {seed}",
-                    file=sys.stderr,
+                    f"--p {args.p} --rights tgrw --seed {seed}"
                 )
                 named = True
         if ok:
@@ -263,10 +271,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except UnicodeDecodeError as exc:
         return _usage_error(f"input is not valid UTF-8: {exc}")
     except InvariantViolationError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
+        _diagnose(f"internal error: {exc}")
         return EXIT_INTERNAL
     except Exception as exc:  # any other crash must still not exit 1
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        _diagnose(f"internal error: {type(exc).__name__}: {exc}")
         return EXIT_INTERNAL
 
 

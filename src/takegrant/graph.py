@@ -133,20 +133,21 @@ class ProtectionGraph:
     fully built graph may be shared across threads for reading, while
     mutation needs exclusive access.
 
+    Kind has one record, ``_subject_id``: a vertex's own id for a
+    subject, ``None`` for an object, so the frontier engine can copy it
+    as its predecessor list with only objects unclaimed.  Id 0 is a
+    subject's id too: kind tests read ``is None``, never truthiness.
+
     Inside the package, the frontier engine reads the t-lists, their
-    object counters, ``_kinds`` and ``_pred_seed`` (the template of its
-    predecessor list) directly, the faithful engine re-scans ``_out``
-    (``_reversed_out()`` for backward walks), and the islands code reads
-    ``_out`` and ``_kinds``; nothing outside the package should.
+    object counters and ``_subject_id`` directly, the faithful engine
+    re-scans ``_out`` (``_reversed_out()`` for backward walks), and the
+    islands code reads ``_out`` and ``_subject_id``; nothing outside the
+    package should.
     """
 
     def __init__(self) -> None:
         self._names: list[str] = []
-        self._kinds: list[VertexKind] = []
-        # Per vertex, None for an object and its own id for a subject:
-        # each frontier search copies this as its predecessor list, so
-        # only objects (and the goals it clears) start out claimable.
-        self._pred_seed: list[VertexId | None] = []
+        self._subject_id: list[VertexId | None] = []
         self._ids: dict[str, VertexId] = {}
         # The one arc store: _out[src][dst] is the rights mask of src -> dst.
         self._out: list[dict[VertexId, int]] = []
@@ -180,8 +181,7 @@ class ProtectionGraph:
             raise DuplicateNameError(f"vertex {name!r} already declared")
         vid = len(self._names)
         self._names.append(name)
-        self._kinds.append(kind)
-        self._pred_seed.append(None if kind is _OBJECT else vid)
+        self._subject_id.append(None if kind is _OBJECT else vid)
         self._ids[name] = vid
         self._out.append({})
         self._t_succ.append([])
@@ -222,11 +222,11 @@ class ProtectionGraph:
         merged = out[dst] = old | mask
         if (merged ^ old) & _T:
             succ = self._t_succ[src]
-            if not succ and self._kinds[src] is _OBJECT:
+            if not succ and self._subject_id[src] is None:
                 self._t_left_objects += 1
             succ.append(dst)
             pred = self._t_pred[dst]
-            if not pred and self._kinds[dst] is _OBJECT:
+            if not pred and self._subject_id[dst] is None:
                 self._t_entered_objects += 1
             pred.append(src)
 
@@ -246,7 +246,7 @@ class ProtectionGraph:
 
     def vertex_kind(self, v: VertexId) -> VertexKind:
         self._require(v)
-        return self._kinds[v]
+        return _OBJECT if self._subject_id[v] is None else _SUBJECT
 
     def vertex_id(self, name: str) -> VertexId:
         """Id of the named vertex; raises UnknownVertexError if absent."""
@@ -256,10 +256,10 @@ class ProtectionGraph:
             raise UnknownVertexError(f"no vertex named {name!r}") from None
 
     def subjects(self) -> list[VertexId]:
-        return [v for v, k in enumerate(self._kinds) if k is _SUBJECT]
+        return [v for v in self._subject_id if v is not None]
 
     def objects(self) -> list[VertexId]:
-        return [v for v, k in enumerate(self._kinds) if k is _OBJECT]
+        return [v for v, sid in enumerate(self._subject_id) if sid is None]
 
     # ---- arc queries ---------------------------------------------------
 
@@ -320,8 +320,7 @@ class ProtectionGraph:
         n = len(self._names)
         g = ProtectionGraph()
         g._names = self._names.copy()
-        g._kinds = self._kinds.copy()
-        g._pred_seed = self._pred_seed.copy()
+        g._subject_id = self._subject_id.copy()
         g._ids = self._ids.copy()
         g._out = [{} for _ in range(n)]
         g._t_succ = [[] for _ in range(n)]
@@ -336,7 +335,7 @@ class ProtectionGraph:
             return NotImplemented
         return (
             self._names == other._names
-            and self._kinds == other._kinds
+            and self._subject_id == other._subject_id
             and self._out == other._out
         )
 
@@ -410,8 +409,8 @@ def serialize_graph(g: ProtectionGraph) -> str:
     """Canonical TGG text for *g*; parse_graph(serialize_graph(g)) == g."""
     names = g._names
     out = [TGG_HEADER]
-    for name, kind in zip(names, g._kinds):
-        out.append(f"{kind.value} {name}")
+    for name, sid in zip(names, g._subject_id):
+        out.append(f"object {name}" if sid is None else f"subject {name}")
     for src, adj in enumerate(g._out):
         for dst, mask in sorted(adj.items()):
             out.append(f"edge {names[src]} {names[dst]} {_LETTERS[mask]}")

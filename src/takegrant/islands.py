@@ -40,12 +40,12 @@ def _forest(g: ProtectionGraph) -> list[VertexId]:
     Two subjects share a root exactly when they share an island; every
     object is its own root.
     """
-    kinds = g._kinds
-    parent = list(range(len(kinds)))
+    subject_id = g._subject_id
+    parent = list(range(len(subject_id)))
     for u, adj in enumerate(g._out):
-        if kinds[u] is _SUBJECT:
+        if subject_id[u] is not None:
             for w, mask in adj.items():
-                if mask & _TG and kinds[w] is _SUBJECT:
+                if mask & _TG and subject_id[w] is not None:
                     parent[_root(parent, u)] = _root(parent, w)
     return parent
 

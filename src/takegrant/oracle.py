@@ -184,10 +184,7 @@ def random_graph(spec: RandomGraphSpec) -> ProtectionGraph:
     return g
 
 
-def enumerate_t_arc_graphs(
-    vertices: Sequence[tuple[str, VertexKind]],
-    max_vertices: int = _ENUMERATION_CAP,
-) -> Iterator[ProtectionGraph]:
+def enumerate_t_arc_graphs(vertices: Sequence[tuple[str, VertexKind]]) -> Iterator[ProtectionGraph]:
     """Yield every graph over *vertices* whose arcs all carry exactly {t}.
 
     Each of the n*(n-1) ordered pairs independently has or lacks an arc;
@@ -196,14 +193,8 @@ def enumerate_t_arc_graphs(
     is set.  The vertices are declared once, on the first ``next()``
     (so a bad name raises there), into a template each graph copies.
     """
-    if max_vertices > _ENUMERATION_CAP:
-        raise TooLargeError(
-            f"enumeration is capped at {_ENUMERATION_CAP} vertices, asked for {max_vertices}"
-        )
-    if len(vertices) > max_vertices:
-        raise TooLargeError(
-            f"{len(vertices)} vertices exceed the {max_vertices}-vertex cap"
-        )
+    if len(vertices) > _ENUMERATION_CAP:
+        raise TooLargeError(f"{len(vertices)} vertices exceed the {_ENUMERATION_CAP}-vertex cap")
     n = len(vertices)
     return _t_arc_graphs(list(vertices), 0, 1 << n * (n - 1))
 

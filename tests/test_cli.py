@@ -277,6 +277,39 @@ class TestExitCodeContract:
         assert cli.main(["gen", "-o", str(open_)]) == 0
         assert closed.read_bytes() == open_.read_bytes()
 
+    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+    @pytest.mark.parametrize("stderr", ["read_only", "closed"])
+    def test_unwritable_stderr_keeps_the_exit_code(self, tmp_path, stderr, unbuffered):
+        # Two subjects joined by a direct t arc: the bridge query prints a
+        # warning on stderr, and an unknown vertex prints an error line.
+        path = tmp_path / "direct.tgg"
+        path.write_text("tgg 1\nsubject a\nsubject b\nedge a b t\n", encoding="utf-8")
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = SRC
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_only = tmp_path / "read_only"
+        read_only.write_bytes(b"")
+
+        def run(*args):
+            with read_only.open("rb") as err:
+                return subprocess.run(
+                    [sys.executable, "-m", "takegrant.cli", "bridge", str(path), *args],
+                    env=env,
+                    stdout=subprocess.PIPE,
+                    stderr=err if stderr == "read_only" else subprocess.DEVNULL,
+                    preexec_fn=(lambda: os.close(2)) if stderr == "closed" else None,
+                    text=True, timeout=60,
+                )
+
+        found = run("a", "b")
+        assert found.returncode == 0
+        assert found.stdout == "bridge t->* a ~> b: FOUND (length 1, passes 1)\n"
+        unknown = run("a", "nobody")
+        assert unknown.returncode == 2
+        assert unknown.stdout == ""
+        assert read_only.read_bytes() == b""
+
     @pytest.mark.parametrize(
         "data",
         [

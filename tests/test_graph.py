@@ -569,9 +569,12 @@ class GraphModel(RuleBasedStateMachine):
         self._add(*data.draw(st.sampled_from(sorted(self.masks))), rights, probe)
 
     @invariant()
-    def template_marks_subjects(self):
-        expected = [None if kind is VertexKind.OBJECT else v for v, kind in enumerate(self.kinds)]
-        assert self.g._pred_seed == expected
+    def kind_views_match_model(self):
+        g, kinds = self.g, self.kinds
+        assert [g.vertex_kind(v) for v in range(len(kinds))] == kinds
+        assert g.subjects() == [v for v, kind in enumerate(kinds) if kind is VertexKind.SUBJECT]
+        assert g.objects() == [v for v, kind in enumerate(kinds) if kind is VertexKind.OBJECT]
+        assert g._subject_id == [None if kind is VertexKind.OBJECT else v for v, kind in enumerate(kinds)]
 
     @invariant()
     def arcs_and_t_lists_match_model(self):
@@ -592,7 +595,6 @@ class GraphModel(RuleBasedStateMachine):
         assert vars(g.reverse().reverse()) == vars(g)
         parsed = parse_graph(serialize_graph(g))
         assert parsed == g
-        assert parsed._pred_seed == g._pred_seed
 
     @invariant()
     def engines_agree_on_probe(self):
