@@ -9,17 +9,29 @@ or ``-`` for stdin, which is decoded as a file is (strict UTF-8,
 universal newlines).  A closed standard input (for a graph read from
 ``-``) or a closed standard output (for every subcommand but
 ``gen -o FILE``) exits 2 with one ``error:`` line; a closed standard
-output is caught before any work is done.  A diagnostic that cannot
-be written to standard error is dropped and never changes the exit code.
+output is caught before any work is done.  For every subcommand, a
+standard output that is closed, full or a broken pipe exits 2, whatever
+the buffering, and no call exits 120 (Python's code for a failed flush
+at exit): ``entry`` flushes both standard streams itself while it can
+still choose the code.  A diagnostic that cannot be written to
+standard error is dropped and never changes the exit code.
+
+``entry`` (the console script and ``python -m takegrant.cli``) then ends
+the process with ``os._exit``, skipping interpreter teardown (module
+finalization and the final garbage collection), which is a fixed cost
+of every call.  So ``atexit`` handlers registered by other code do not
+run; this package registers none.  ``main`` returns its code and is the
+function to call from inside a Python process.
 """
 
 from __future__ import annotations
 
 import argparse
 import io
+import os
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import NoReturn, Sequence
 
 from .bridges import (
     Direction,
@@ -71,7 +83,7 @@ def _diagnose(line: str) -> None:
         if sys.stderr is not None:  # None: the process started with fd 2 closed
             print(line, file=sys.stderr)
     except OSError:
-        sys.stderr = None  # else the flush at interpreter exit fails again: exit 120
+        sys.stderr = None  # drop the failed stream: no later line or flush retries it
 
 
 def _usage_error(message: str) -> int:
@@ -278,8 +290,25 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_INTERNAL
 
 
-def entry() -> None:
-    sys.exit(main())
+def entry() -> NoReturn:
+    """Run ``main`` on ``sys.argv`` and end the process with its exit code."""
+    try:
+        code = main()
+    except SystemExit as exc:  # argparse exits by itself for --help and usage errors
+        code = exc.code
+    # Buffered output may still be pending; a write that fails here must
+    # still reach the exit code.  Codes 2 and 3 already name a failure.
+    try:
+        if sys.stdout is not None:
+            sys.stdout.flush()
+    except OSError as exc:
+        code = max(code, _usage_error(str(exc)))
+    try:
+        if sys.stderr is not None:
+            sys.stderr.flush()
+    except OSError:
+        pass  # a lost diagnostic never changes the exit code
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import errno
 import hashlib
 import io
 import json
@@ -24,6 +25,7 @@ from takegrant import (
     SearchReport,
     parse_graph,
     random_graph,
+    serialize_graph,
 )
 
 from helpers import LENGTH2_BRIDGE_TGG, tgg_documents
@@ -31,13 +33,32 @@ from helpers import LENGTH2_BRIDGE_TGG, tgg_documents
 SRC = str(Path(cli.__file__).resolve().parents[1])
 
 
+def cli_env(unbuffered=False, **extra):
+    """Environment for a CLI child process: this checkout on PYTHONPATH
+    and, unless *unbuffered*, Python's default buffering whatever the
+    calling environment sets.  Buffered output is what a user's shell
+    gets, and it fails later (at a flush) than unbuffered output does."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env.update(PYTHONPATH=SRC, **extra)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+BUFFERING = pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+
+
 def run_cli(args, stdin=b"", env=None):
     """Run ``python -m takegrant.cli`` on this checkout; bytes in and out."""
     return subprocess.run(
         [sys.executable, "-m", "takegrant.cli", *args],
-        env={**os.environ, "PYTHONPATH": SRC} if env is None else env,
+        env=cli_env() if env is None else env,
         input=stdin, capture_output=True, timeout=60,
     )
+
+
+def errno_line(code):
+    return f"error: [Errno {code}] {os.strerror(code)}\n"
 
 
 @pytest.fixture
@@ -164,10 +185,9 @@ class TestExitCodeContract:
     )
     def test_non_utf8_input_is_usage_error(self, latin1_file, argv):
         args = [a.format(latin1_file) for a in argv]
-        src = Path(cli.__file__).resolve().parents[1]
         proc = subprocess.run(
             [sys.executable, "-m", "takegrant.cli", *args],
-            env={**os.environ, "PYTHONPATH": str(src)},
+            env=cli_env(),
             capture_output=True, text=True, timeout=60,
         )
         assert proc.returncode == 2
@@ -185,10 +205,9 @@ class TestExitCodeContract:
         path = tmp_path / "bom.tgg"
         path.write_bytes(b"\xef\xbb\xbf" + LENGTH2_BRIDGE_TGG.encode())
         args = [a.format(path) for a in argv]
-        src = Path(cli.__file__).resolve().parents[1]
         proc = subprocess.run(
             [sys.executable, "-m", "takegrant.cli", *args],
-            env={**os.environ, "PYTHONPATH": str(src)},
+            env=cli_env(),
             capture_output=True, text=True, timeout=60,
         )
         assert proc.returncode == 2
@@ -206,8 +225,7 @@ class TestExitCodeContract:
     def test_non_utf8_stdin_is_usage_error(self, argv):
         # Under the C locale, sys.stdin decodes with surrogateescape and
         # would accept the bad byte.
-        env = {k: v for k, v in os.environ.items() if k not in ("PYTHONIOENCODING", "PYTHONUTF8")}
-        env.update(PYTHONPATH=SRC, LC_ALL="C")
+        env = {k: v for k, v in cli_env(LC_ALL="C").items() if k not in ("PYTHONIOENCODING", "PYTHONUTF8")}
         proc = run_cli(argv, stdin=b"tgg 1\n# caf\xe9\nsubject a\nsubject b\n", env=env)
         err = proc.stderr.decode()
         assert proc.returncode == 2
@@ -232,7 +250,7 @@ class TestExitCodeContract:
     def test_closed_stdin_subprocess_is_usage_error(self):
         proc = subprocess.run(
             [sys.executable, "-m", "takegrant.cli", "islands", "-"],
-            env={**os.environ, "PYTHONPATH": SRC},
+            env=cli_env(),
             preexec_fn=lambda: os.close(0),
             capture_output=True, text=True, timeout=60,
         )
@@ -256,7 +274,7 @@ class TestExitCodeContract:
         # Python sets sys.stdout to None when it starts with fd 1 closed.
         proc = subprocess.run(
             [sys.executable, "-m", "takegrant.cli", *(a.format(figure_file) for a in argv)],
-            env={**os.environ, "PYTHONPATH": SRC},
+            env=cli_env(),
             preexec_fn=lambda: os.close(1),
             capture_output=True, text=True, timeout=60,
         )
@@ -268,7 +286,7 @@ class TestExitCodeContract:
         closed, open_ = tmp_path / "closed.tgg", tmp_path / "open.tgg"
         proc = subprocess.run(
             [sys.executable, "-m", "takegrant.cli", "gen", "-o", str(closed)],
-            env={**os.environ, "PYTHONPATH": SRC},
+            env=cli_env(),
             preexec_fn=lambda: os.close(1),
             capture_output=True, text=True, timeout=60,
         )
@@ -277,17 +295,14 @@ class TestExitCodeContract:
         assert cli.main(["gen", "-o", str(open_)]) == 0
         assert closed.read_bytes() == open_.read_bytes()
 
-    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+    @BUFFERING
     @pytest.mark.parametrize("stderr", ["read_only", "closed"])
     def test_unwritable_stderr_keeps_the_exit_code(self, tmp_path, stderr, unbuffered):
         # Two subjects joined by a direct t arc: the bridge query prints a
         # warning on stderr, and an unknown vertex prints an error line.
         path = tmp_path / "direct.tgg"
         path.write_text("tgg 1\nsubject a\nsubject b\nedge a b t\n", encoding="utf-8")
-        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-        env["PYTHONPATH"] = SRC
-        if unbuffered:
-            env["PYTHONUNBUFFERED"] = "1"
+        env = cli_env(unbuffered)
         read_only = tmp_path / "read_only"
         read_only.write_bytes(b"")
 
@@ -309,6 +324,81 @@ class TestExitCodeContract:
         assert unknown.returncode == 2
         assert unknown.stdout == ""
         assert read_only.read_bytes() == b""
+
+    @BUFFERING
+    @pytest.mark.parametrize("stdout", ["full", "broken_pipe"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["islands", "{}"],
+            ["bridge", "{}", "s", "f", "--json", "--path"],
+            ["bridges", "{}", "0", "1"],
+            ["check", "--trials", "2"],
+            ["gen"],
+            ["gen", "--subjects", "20", "--objects", "400", "--p", "0.05", "--rights", "tgrw"],
+        ],
+        ids=["islands", "bridge", "bridges", "check", "gen", "gen_large"],
+    )
+    def test_failed_stdout_write_is_usage_error(self, figure_file, argv, stdout, unbuffered):
+        # Buffered, a small output fails only at the flush after main has
+        # returned; a large one, or any unbuffered one, fails inside main.
+        # Either way: exit 2 and one error line, never Python's exit 120.
+        if stdout == "full":
+            sink, code = os.open("/dev/full", os.O_WRONLY), errno.ENOSPC
+        else:
+            read_end, sink = os.pipe()
+            os.close(read_end)
+            code = errno.EPIPE
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "takegrant.cli", *(a.format(figure_file) for a in argv)],
+                env=cli_env(unbuffered), stdout=sink, stderr=subprocess.PIPE,
+                text=True, timeout=60,
+            )
+        finally:
+            os.close(sink)
+        assert proc.returncode == 2
+        assert proc.stderr == errno_line(code)
+
+    @BUFFERING
+    @pytest.mark.parametrize("stderr", ["pipe", "full"])
+    @pytest.mark.parametrize("argv", [["bogus"], ["bridge"]], ids=["unknown_command", "missing_arguments"])
+    def test_argparse_usage_error_exits_2(self, argv, stderr, unbuffered):
+        with open("/dev/full", "wb") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "takegrant.cli", *argv],
+                env=cli_env(unbuffered), stdout=subprocess.PIPE,
+                stderr=full if stderr == "full" else subprocess.PIPE, timeout=60,
+            )
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        if stderr == "pipe":
+            assert proc.stderr.startswith(b"usage: takegrant ")
+            assert proc.stderr.count(b"\n") == 2 and b": error: " in proc.stderr
+
+    @BUFFERING
+    @pytest.mark.parametrize("streams", ["pipes", "stdout_full", "both_full"])
+    def test_help_never_exits_120(self, streams, unbuffered):
+        with open("/dev/full", "wb") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "takegrant.cli", "--help"],
+                env=cli_env(unbuffered),
+                stdout=subprocess.PIPE if streams == "pipes" else full,
+                stderr=full if streams == "both_full" else subprocess.PIPE, timeout=60,
+            )
+        if streams == "pipes":
+            assert proc.returncode == 0
+            assert proc.stdout.startswith(b"usage: takegrant ")
+            assert proc.stderr == b""
+        elif unbuffered:
+            # argparse drops its own failed write and exits 0; with nothing
+            # left in the buffer, the flush in entry has nothing to report.
+            assert proc.returncode == 0
+            assert not proc.stderr
+        else:
+            assert proc.returncode == 2
+            if streams == "stdout_full":
+                assert proc.stderr.decode() == errno_line(errno.ENOSPC)
 
     @pytest.mark.parametrize(
         "data",
@@ -524,6 +614,39 @@ class TestGenCommand:
         assert digest == "cda1d63172402143a76063595abe75a681d4e56353573041c49c853c41662860"
 
 
+class TestBufferedOutputIsWhole:
+    """With Python's default buffering, the flush in entry and its
+    os._exit neither lose nor change what main printed."""
+
+    def test_large_gen_output_through_a_pipe(self):
+        proc = run_cli(["gen", "--subjects", "20", "--objects", "400", "--p", "0.05", "--rights", "tgrw"])
+        assert proc.returncode == 0
+        assert proc.stderr == b""
+        assert len(proc.stdout) == 537_308
+        spec = RandomGraphSpec(20, 400, 0.05, frozenset(Right(ch) for ch in "tgrw"), 1)
+        assert proc.stdout == serialize_graph(random_graph(spec)).encode()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["islands", "{}"],
+            ["bridges", "{}", "0", "1"],
+            ["bridge", "{}", "s44", "s35", "--path"],
+            ["bridge", "{}", "s0", "s1", "--json", "--path"],
+        ],
+        ids=["islands", "bridges", "bridge_found", "bridge_json_not_found"],
+    )
+    def test_subprocess_prints_what_main_prints(self, tmp_path, capsys, argv):
+        path = str(tmp_path / "g.tgg")
+        assert cli.main(["gen", "--subjects", "200", "--objects", "200", "--p", "0.004", "--seed", "3", "-o", path]) == 0
+        args = [a.format(path) for a in argv]
+        code = cli.main(args)
+        out = capsys.readouterr().out
+        proc = run_cli(args)
+        assert (proc.returncode, proc.stdout) == (code, out.encode())
+        assert out
+
+
 class TestParserPlumbing:
     def test_import_pulls_in_no_dataclasses_inspect_or_json(self):
         # -S keeps site-packages .pth imports out of sys.modules.  The
@@ -568,14 +691,12 @@ class TestParserPlumbing:
         assert "{islands,bridge,bridges,check,gen}" in out
         assert "bench" not in out
 
-    def test_entry_point_exists(self, figure_file, monkeypatch, capsys):
+    def test_entry_point_exists(self, figure_file):
         # The console script is declared in pyproject.toml; check the
         # declaration itself, so the test holds in a plain checkout
         # (PYTHONPATH=src) as well as after an install.
         import importlib
         import importlib.metadata as md
-        import sys
-        from pathlib import Path
 
         tomllib = pytest.importorskip("tomllib")
         pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
@@ -587,18 +708,26 @@ class TestParserPlumbing:
         target = getattr(importlib.import_module(module_name), attr)
         assert target is cli.entry and callable(target)
 
-        monkeypatch.setattr(sys, "argv", ["takegrant", "islands", figure_file])
-        with pytest.raises(SystemExit) as exc:
-            target()
-        assert exc.value.code == 0
-        assert capsys.readouterr().out == "island 0: s\nisland 1: f\n"
+        # entry ends its process itself, so it runs in a child given a
+        # sys.argv; the print after entry() shows it never returns.
+        def run_entry(*args):
+            code = (
+                f"import sys, {module_name} as m; sys.argv = {['takegrant', *args]!r}; "
+                f"m.{attr}(); print('entry returned')"
+            )
+            return subprocess.run(
+                [sys.executable, "-c", code], env=cli_env(), capture_output=True, text=True, timeout=60,
+            )
+
+        proc = run_entry("islands", figure_file)
+        assert proc.returncode == 0
+        assert proc.stdout == "island 0: s\nisland 1: f\n"
+        assert "entry returned" not in proc.stdout and proc.stderr == ""
 
         # A negative answer must reach the shell as main's 1, not as 0.
-        monkeypatch.setattr(sys, "argv", ["takegrant", "bridge", figure_file, "s", "f", "--backward"])
-        with pytest.raises(SystemExit) as exc:
-            target()
-        assert exc.value.code == 1
-        assert capsys.readouterr().out == "bridge t<-* s ~> f: NOT FOUND (passes 1)\n"
+        proc = run_entry("bridge", figure_file, "s", "f", "--backward")
+        assert proc.returncode == 1
+        assert proc.stdout == "bridge t<-* s ~> f: NOT FOUND (passes 1)\n"
 
         # Where the package is installed, the generated script must point
         # at the same target as the declaration.
