@@ -340,8 +340,10 @@ def bridges_between_islands(
 
     Both islands must come from ``compute_islands(g)``.  Every member is
     checked to be a subject of *g* (``UnknownVertexError`` for an id
-    outside it, ``NotASubjectError`` for an object), but the partition
-    itself is not recomputed, which would cost O(arcs) per call.
+    outside it, ``NotASubjectError`` for an object), and two islands with
+    one index or a shared member raise ``SameIslandError``, all before
+    any search; the partition itself is not recomputed, which would cost
+    O(arcs) per call.
     """
     _check_direction(direction)
     if island_a.index == island_b.index:
@@ -352,6 +354,11 @@ def bridges_between_islands(
                 f"island member {g.vertex_name(v)!r} is an object; islands contain only subjects"
             )
     goals = frozenset(island_b.members)
+    for v in island_a.members:
+        if v in goals:
+            raise SameIslandError(
+                f"islands {island_a.index} and {island_b.index} share member {g.vertex_name(v)!r}"
+            )
     found: list[tuple[VertexId, VertexId, BridgePath]] = []
     for s in island_a.members:
         pred, _ = _search(g, s, goals, direction)

@@ -9,12 +9,12 @@ or ``-`` for stdin, which is decoded as a file is (strict UTF-8,
 universal newlines).  A closed standard input (for a graph read from
 ``-``) or a closed standard output (for every subcommand but
 ``gen -o FILE``) exits 2 with one ``error:`` line; a closed standard
-output is caught before any work is done.  For every subcommand, a
-standard output that is closed, full or a broken pipe exits 2, whatever
-the buffering, and no call exits 120 (Python's code for a failed flush
-at exit): ``entry`` flushes both standard streams itself while it can
-still choose the code.  A diagnostic that cannot be written to
-standard error is dropped and never changes the exit code.
+output is caught before any work is done.  For every subcommand and
+for ``--help``, a standard output that is closed, full or a broken pipe
+exits 2, whatever the buffering, and no call exits 120 (Python's code
+for a failed flush at exit): ``entry`` flushes both standard streams
+itself while it can still choose the code.  A diagnostic that cannot be
+written to standard error is dropped and never changes the exit code.
 
 ``entry`` (the console script and ``python -m takegrant.cli``) then ends
 the process with ``os._exit``, skipping interpreter teardown (module
@@ -31,7 +31,7 @@ import io
 import os
 import sys
 from pathlib import Path
-from typing import NoReturn, Sequence
+from typing import NoReturn, Sequence, TextIO
 
 from .bridges import (
     Direction,
@@ -75,6 +75,14 @@ def _read_graph(path: str) -> ProtectionGraph:
 
 def _direction(args: argparse.Namespace) -> Direction:
     return Direction.BACKWARD if args.backward else Direction.FORWARD
+
+
+def _stdout() -> TextIO:
+    # Python sets sys.stdout to None when it starts with fd 1 closed, and
+    # print() then drops the output silently.
+    if sys.stdout is None:
+        raise OSError("cannot write the output to stdout: standard output is closed")
+    return sys.stdout
 
 
 def _diagnose(line: str) -> None:
@@ -226,8 +234,15 @@ def _add_graph_spec_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=1, help="generator seed")
 
 
+class _Parser(argparse.ArgumentParser):
+    def print_help(self, file=None):
+        # argparse's own writer drops a failed write; this one lets it
+        # reach main's OSError clause, as any other output does.
+        (file or _stdout()).write(self.format_help())
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="takegrant",
         description="Island and t-bridge analysis for Take-Grant protection graphs.",
     )
@@ -268,13 +283,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        # Python sets sys.stdout to None when it starts with fd 1 closed,
-        # and print() then drops the output silently.  gen -o FILE is the
-        # one subcommand that need not write to stdout.
-        if sys.stdout is None and getattr(args, "output", "-") == "-":
-            raise OSError("cannot write the output to stdout: standard output is closed")
+        args = build_parser().parse_args(argv)
+        # Fail early on a closed stdout; gen -o FILE is the one
+        # subcommand that need not write to it.
+        if getattr(args, "output", "-") == "-":
+            _stdout()
         return args.func(args)
     except (
         ParseError, UnknownVertexError, SameVertexError, SameIslandError, EmptySpecError, OSError

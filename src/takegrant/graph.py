@@ -37,7 +37,9 @@ Each arc is stored once, as a 4-bit rights mask in its source's dict,
 one bit per right in ``RIGHT_ORDER`` (t=1, g=2, r=4, w=8); ``Right``
 values appear only at the API and text-format boundary.  The take arcs,
 which every bridge search walks, are also kept as per-vertex successor
-and predecessor lists, appended to when an arc first gains ``t``.
+and predecessor lists, appended to when an arc first gains ``t``.  The
+graph's only neighbour queries, ``t_successors`` and ``t_predecessors``,
+return sorted copies of them.
 """
 
 from __future__ import annotations
@@ -102,13 +104,6 @@ _RIGHTS = tuple(
 _LETTERS = tuple("".join(right.value for right in RIGHT_ORDER if right in rs) for rs in _RIGHTS)
 
 
-def _right_bit(right: Right) -> int:
-    """The mask bit of *right*; ``InvalidRightError`` if it is not a ``Right``."""
-    if right.__class__ is not Right:
-        raise InvalidRightError(f"{right!r} is not a Right")
-    return _BIT[right]
-
-
 class Edge(Value):
     """One merged arc: all rights the ordered pair (src, dst) carries."""
 
@@ -139,10 +134,11 @@ class ProtectionGraph:
     subject's id too: kind tests read ``is None``, never truthiness.
 
     Inside the package, the frontier engine reads the t-lists, their
-    object counters and ``_subject_id`` directly, the faithful engine
-    re-scans ``_out`` (``_reversed_out()`` for backward walks), and the
-    islands code reads ``_out`` and ``_subject_id``; nothing outside the
-    package should.
+    object counters and ``_subject_id`` directly, the brute-force oracle
+    reads the t-lists through ``t_successors``/``t_predecessors``, the
+    faithful engine re-scans ``_out`` (``_reversed_out()`` for backward
+    walks), and the islands code reads ``_out`` and ``_subject_id``;
+    nothing outside the package should.
     """
 
     def __init__(self) -> None:
@@ -269,25 +265,15 @@ class ProtectionGraph:
         self._require(dst)
         return _RIGHTS[self._out[src].get(dst, 0)]
 
-    def out_neighbors_with_right(self, v: VertexId, right: Right) -> list[VertexId]:
-        """Targets of arcs v -> w carrying *right*, in ascending id order."""
+    def t_successors(self, v: VertexId) -> list[VertexId]:
+        """Targets of the t arcs v -> w, in ascending id order."""
         self._require(v)
-        if right is Right.T:
-            return sorted(self._t_succ[v])
-        bit = _right_bit(right)
-        return sorted(w for w, mask in self._out[v].items() if mask & bit)
+        return sorted(self._t_succ[v])
 
-    def in_neighbors_with_right(self, v: VertexId, right: Right) -> list[VertexId]:
-        """Sources of arcs w -> v carrying *right*, in ascending id order.
-
-        For ``Right.T`` this reads v's t-predecessor list; any other right
-        scans column v of every vertex's arcs, O(vertices).
-        """
+    def t_predecessors(self, v: VertexId) -> list[VertexId]:
+        """Sources of the t arcs w -> v, in ascending id order."""
         self._require(v)
-        if right is Right.T:
-            return sorted(self._t_pred[v])
-        bit = _right_bit(right)
-        return [w for w, adj in enumerate(self._out) if adj.get(v, 0) & bit]
+        return sorted(self._t_pred[v])
 
     def edges(self) -> list[Edge]:
         """Every merged arc, sorted by (src, dst)."""

@@ -239,11 +239,7 @@ def brute_force_bridge(
     """
     check_query(g, s, f, direction)
     traversal = traversal_set(g, s, f)
-    neighbors = (
-        g.out_neighbors_with_right
-        if direction is Direction.FORWARD
-        else g.in_neighbors_with_right
-    )
+    neighbors = g.t_successors if direction is Direction.FORWARD else g.t_predecessors
     memo: dict[VertexId, list[VertexId]] = {}
     # Whether the current length's enumeration reached its full depth.
     deep = False
@@ -251,7 +247,7 @@ def brute_force_bridge(
     def successors(v: VertexId) -> list[VertexId]:
         ws = memo.get(v)
         if ws is None:
-            ws = memo[v] = [w for w in neighbors(v, Right.T) if w in traversal]
+            ws = memo[v] = [w for w in neighbors(v) if w in traversal]
         return ws
 
     def extend(path: list[VertexId], on_path: set[VertexId], remaining: int) -> list[VertexId] | None:

@@ -457,15 +457,15 @@ def test_oracle_asks_for_successors_once_per_vertex(direction):
     # path through it; it keeps each vertex's successors for the rest of
     # the query, so the graph is asked at most once per traversal-set
     # vertex.  Instance attributes shadow the neighbour queries here.
-    names = ("out_neighbors_with_right", "in_neighbors_with_right")
+    names = ("t_successors", "t_predecessors")
     past_length_one = 0
     for g in _count_sweep_cases():
         calls: list[VertexId] = []
 
         def counting(query):
-            def counted(v, right):
+            def counted(v):
                 calls.append(v)
-                return query(v, right)
+                return query(v)
             return counted
 
         for name in names:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 
 from takegrant import (
     Direction,
+    Island,
     NotASubjectError,
     ProtectionGraph,
     RandomGraphSpec,
@@ -271,8 +272,8 @@ class TestQueriesAfterMutation:
         g = figure_graph()
         before = [bridge_exists(g, 0, 2, d) for d in BOTH]
         for v in range(g.vertex_count):
-            g.out_neighbors_with_right(v, Right.T).clear()
-            g.in_neighbors_with_right(v, Right.T).append(v)
+            g.t_successors(v).clear()
+            g.t_predecessors(v).append(v)
         assert [bridge_exists(g, 0, 2, d) for d in BOTH] == before
         assert before[0].path.vertices == (0, 1, 2)
 
@@ -373,6 +374,15 @@ class TestBetweenIslands:
         islands = compute_islands(g)
         with pytest.raises(SameIslandError):
             bridges_between_islands(g, islands[0], islands[0])
+
+    def test_islands_sharing_a_member_rejected(self):
+        # a -t-> x -t-> b: a shared member would "bridge" a to itself with
+        # the one-vertex path (a,), which validate_path rejects.
+        g = make_graph([("a", "s"), ("b", "s"), ("x", "o")], [("a", "x", "t"), ("x", "b", "t")])
+        for direction in BOTH:
+            for first, second, shared in [((0,), (0, 1), "a"), ((0, 1), (1,), "b")]:
+                with pytest.raises(SameIslandError, match=f"islands 0 and 1 share member '{shared}'"):
+                    bridges_between_islands(g, Island(0, first), Island(1, second), direction)
 
     def test_islands_of_another_graph_rejected(self):
         # Islands 0 and 1 of five isolated subjects are {0} and {1}; in

@@ -377,28 +377,30 @@ class TestExitCodeContract:
             assert proc.stderr.count(b"\n") == 2 and b": error: " in proc.stderr
 
     @BUFFERING
-    @pytest.mark.parametrize("streams", ["pipes", "stdout_full", "both_full"])
-    def test_help_never_exits_120(self, streams, unbuffered):
+    @pytest.mark.parametrize("streams", ["pipes", "stdout_full", "both_full", "stdout_closed"])
+    def test_help_never_exits_120(self, streams, unbuffered, monkeypatch):
+        # The help text goes out like any other output: buffered, it fails
+        # at the flush in entry; unbuffered, at the write inside main.
         with open("/dev/full", "wb") as full:
             proc = subprocess.run(
                 [sys.executable, "-m", "takegrant.cli", "--help"],
-                env=cli_env(unbuffered),
-                stdout=subprocess.PIPE if streams == "pipes" else full,
-                stderr=full if streams == "both_full" else subprocess.PIPE, timeout=60,
+                env=cli_env(unbuffered, COLUMNS="80"),
+                stdout=full if "full" in streams else subprocess.PIPE,
+                stderr=full if streams == "both_full" else subprocess.PIPE,
+                preexec_fn=(lambda: os.close(1)) if streams == "stdout_closed" else None,
+                timeout=60,
             )
         if streams == "pipes":
             assert proc.returncode == 0
-            assert proc.stdout.startswith(b"usage: takegrant ")
+            monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to $COLUMNS
+            assert proc.stdout == cli.build_parser().format_help().encode()
             assert proc.stderr == b""
-        elif unbuffered:
-            # argparse drops its own failed write and exits 0; with nothing
-            # left in the buffer, the flush in entry has nothing to report.
-            assert proc.returncode == 0
-            assert not proc.stderr
         else:
             assert proc.returncode == 2
             if streams == "stdout_full":
                 assert proc.stderr.decode() == errno_line(errno.ENOSPC)
+            elif streams == "stdout_closed":
+                assert proc.stderr == b"error: cannot write the output to stdout: standard output is closed\n"
 
     @pytest.mark.parametrize(
         "data",

@@ -114,7 +114,7 @@ class TestConstruction:
         assert isinstance(caught.value, TakeGrantError)
         assert serialize_graph(g) == before
         assert g.rights_between(0, 1) == frozenset()
-        assert g.out_neighbors_with_right(0, Right.T) == []
+        assert g.t_successors(0) == []
         assert not bridge_exists(g, 0, 1).exists
 
     def test_add_edge_unknown_vertex(self):
@@ -154,11 +154,11 @@ class TestAdjacency:
     def test_out_neighbors_figure(self):
         g = figure_graph()
         s, x = g.vertex_id("s"), g.vertex_id("x")
-        assert g.out_neighbors_with_right(s, Right.T) == [x]
+        assert g.t_successors(s) == [x]
 
     def test_out_neighbors_empty(self):
         g = figure_graph()
-        assert g.out_neighbors_with_right(g.vertex_id("f"), Right.T) == []
+        assert g.t_successors(g.vertex_id("f")) == []
 
     def test_out_neighbors_filters_and_sorts(self):
         # s -> a {t}, s -> b {g}, s -> c {t}: only the t targets, id order
@@ -166,90 +166,80 @@ class TestAdjacency:
             [("s", "s"), ("a", "o"), ("b", "o"), ("c", "o")],
             [("s", "a", "t"), ("s", "b", "g"), ("s", "c", "t")],
         )
-        assert g.out_neighbors_with_right(0, Right.T) == [1, 3]
+        assert g.t_successors(0) == [1, 3]
 
     def test_in_neighbors_figure(self):
         g = figure_graph()
-        assert g.in_neighbors_with_right(g.vertex_id("x"), Right.T) == [g.vertex_id("s")]
+        assert g.t_predecessors(g.vertex_id("x")) == [g.vertex_id("s")]
 
     def test_in_neighbors_isolated(self):
         g = make_graph([("a", "s"), ("b", "s")])
-        assert g.in_neighbors_with_right(0, Right.T) == []
+        assert g.t_predecessors(0) == []
 
     def test_neighbors_unknown_vertex(self):
         g = new_graph()
         with pytest.raises(UnknownVertexError):
-            g.out_neighbors_with_right(0, Right.T)
-
-    @pytest.mark.parametrize("right", ["t", "g", 1, None])
-    @pytest.mark.parametrize("method", ["out_neighbors_with_right", "in_neighbors_with_right"])
-    def test_neighbors_reject_non_right(self, method, right):
-        g = figure_graph()
-        with pytest.raises(InvalidRightError, match=re.escape(f"{right!r} is not a Right")) as caught:
-            getattr(g, method)(g.vertex_id("x"), right)
-        assert isinstance(caught.value, TakeGrantError)
+            g.t_successors(0)
+        with pytest.raises(UnknownVertexError):
+            g.t_predecessors(0)
 
     @given(graphs())
     def test_in_neighbors_match_reversed_out(self, g):
         rev = g.reverse()
         for v in range(g.vertex_count):
-            for right in Right:
-                assert g.in_neighbors_with_right(v, right) == rev.out_neighbors_with_right(v, right)
+            assert g.t_predecessors(v) == rev.t_successors(v)
 
     @given(graphs())
     def test_neighbor_lists_strictly_ascending(self, g):
         for v in range(g.vertex_count):
-            for right in Right:
-                for lst in (
-                    g.out_neighbors_with_right(v, right),
-                    g.in_neighbors_with_right(v, right),
-                ):
-                    assert lst == sorted(set(lst))
+            for lst in (g.t_successors(v), g.t_predecessors(v)):
+                assert lst == sorted(set(lst))
 
 
 class TestTIndex:
-    """The take-arc lists are kept up to date by every mutation; callers
-    only ever see sorted copies of them, and queries never write."""
+    """The take-arc lists are kept up to date by every mutation;
+    ``t_successors`` and ``t_predecessors`` hand out only sorted copies
+    of them, and queries never write."""
 
     def test_returned_lists_are_copies(self):
         g = figure_graph()
         s, x = g.vertex_id("s"), g.vertex_id("x")
-        g.out_neighbors_with_right(s, Right.T).append(x)
-        g.in_neighbors_with_right(x, Right.T).clear()
-        assert g.out_neighbors_with_right(s, Right.T) == [x]
-        assert g.in_neighbors_with_right(x, Right.T) == [s]
+        g.t_successors(s).append(x)
+        g.t_predecessors(x).clear()
+        assert g.t_successors(s) == [x]
+        assert g.t_predecessors(x) == [s]
 
     def test_add_edge_after_query(self):
         g = make_graph([("s", "s"), ("a", "o"), ("b", "o")], [("s", "b", "t")])
-        assert g.out_neighbors_with_right(0, Right.T) == [2]
-        assert g.in_neighbors_with_right(1, Right.T) == []
+        assert g.t_successors(0) == [2]
+        assert g.t_predecessors(1) == []
         g.add_edge(0, 1, {Right.T})
-        assert g.out_neighbors_with_right(0, Right.T) == [1, 2]
-        assert g.in_neighbors_with_right(1, Right.T) == [0]
+        assert g.t_successors(0) == [1, 2]
+        assert g.t_predecessors(1) == [0]
 
     def test_add_vertex_after_query(self):
         g = figure_graph()
-        assert g.out_neighbors_with_right(0, Right.T) == [1]
-        assert g.in_neighbors_with_right(1, Right.T) == [0]
+        assert g.t_successors(0) == [1]
+        assert g.t_predecessors(1) == [0]
         y = g.add_vertex("y", VertexKind.OBJECT)
-        assert g.out_neighbors_with_right(y, Right.T) == []
-        assert g.in_neighbors_with_right(y, Right.T) == []
+        assert g.t_successors(y) == []
+        assert g.t_predecessors(y) == []
         g.add_edge(y, 0, {Right.T})
-        assert g.out_neighbors_with_right(y, Right.T) == [0]
-        assert g.in_neighbors_with_right(0, Right.T) == [y]
+        assert g.t_successors(y) == [0]
+        assert g.t_predecessors(0) == [y]
 
     def test_new_rights_on_existing_pairs_union(self):
         g = make_graph([("s", "s"), ("x", "o"), ("y", "o")], [("s", "x", "t"), ("s", "y", "g")])
-        assert g.out_neighbors_with_right(0, Right.T) == [1]
-        assert g.in_neighbors_with_right(2, Right.T) == []
+        assert g.t_successors(0) == [1]
+        assert g.t_predecessors(2) == []
         g.add_edge(0, 1, {Right.G})
         g.add_edge(0, 2, {Right.T})
         assert g.rights_between(0, 1) == {Right.T, Right.G}
         assert g.rights_between(0, 2) == {Right.T, Right.G}
         assert g.rights_between(1, 0) == frozenset()
-        assert g.out_neighbors_with_right(0, Right.T) == [1, 2]
-        assert g.out_neighbors_with_right(0, Right.G) == [1, 2]
-        assert g.in_neighbors_with_right(2, Right.T) == [0]
+        assert g.t_successors(0) == [1, 2]
+        assert [w for w in range(3) if Right.G in g.rights_between(0, w)] == [1, 2]
+        assert g.t_predecessors(2) == [0]
         assert g.edge_count == 2
 
     def test_lists_read_ascending_whatever_the_insertion_order(self):
@@ -257,16 +247,16 @@ class TestTIndex:
             [("s", "s"), ("a", "o"), ("b", "o"), ("c", "o")],
             [("s", "c", "t"), ("c", "a", "t"), ("s", "a", "t"), ("b", "a", "t"), ("s", "b", "t")],
         )
-        assert g.out_neighbors_with_right(0, Right.T) == [1, 2, 3]
-        assert g.in_neighbors_with_right(1, Right.T) == [0, 2, 3]
+        assert g.t_successors(0) == [1, 2, 3]
+        assert g.t_predecessors(1) == [0, 2, 3]
         rev = g.reverse()
-        assert rev.in_neighbors_with_right(0, Right.T) == [1, 2, 3]
-        assert rev.out_neighbors_with_right(1, Right.T) == [0, 2, 3]
+        assert rev.t_predecessors(0) == [1, 2, 3]
+        assert rev.t_successors(1) == [0, 2, 3]
 
     def test_repeated_t_arc_listed_once(self):
         g = make_graph([("s", "s"), ("x", "o")], [("s", "x", "t"), ("s", "x", "tg"), ("s", "x", "r")])
-        assert g.out_neighbors_with_right(0, Right.T) == [1]
-        assert g.in_neighbors_with_right(1, Right.T) == [0]
+        assert g.t_successors(0) == [1]
+        assert g.t_predecessors(1) == [0]
 
     @given(graphs(rights=(Right.T, Right.G)))
     def test_queries_never_write(self, g):
@@ -285,8 +275,8 @@ class TestTIndex:
                     if a.index != b.index:
                         bridges_between_islands(g, a, b, direction)
         for v in range(n):
-            g.out_neighbors_with_right(v, Right.T)
-            g.in_neighbors_with_right(v, Right.T)
+            g.t_successors(v)
+            g.t_predecessors(v)
         assert vars(g) == before
 
 
@@ -315,9 +305,8 @@ class TestReverse:
         rev = g.reverse()
         assert rev.edges() == fresh.edges()
         for v in range(g.vertex_count):
-            for right in Right:
-                assert rev.out_neighbors_with_right(v, right) == fresh.out_neighbors_with_right(v, right)
-                assert rev.in_neighbors_with_right(v, right) == fresh.in_neighbors_with_right(v, right)
+            assert rev.t_successors(v) == fresh.t_successors(v)
+            assert rev.t_predecessors(v) == fresh.t_predecessors(v)
         assert rev._t_entered_objects == fresh._t_entered_objects
         assert rev._t_left_objects == fresh._t_left_objects
 
