@@ -32,10 +32,14 @@ object, its own id for a subject), with ``None`` written over the
 goals.  Only objects and goals start out unclaimed, so claiming a
 vertex costs one index and one identity test, with no kind or goal
 lookup.  A query thus costs one O(vertices) list copy plus O(t arcs out
-of the vertices it scans), at most the t arcs out of the reached set.
+of the vertices it scans), at most the t arcs out of the reached set; a
+start that can claim nothing is answered without the copy.
 The core takes a set of goals: ``bridge_exists`` is the single-goal
 case, and ``bridges_between_islands`` runs one search per source island
-member with every member of the other island as a goal.
+member with every member of the other island as a goal.  Several goals
+are claimed from the goal side: at the top of each pass, one dict lookup
+per frontier vertex finds the goals it feeds, so the search ends before
+the pass that reaches its last goal is scanned.
 
 Pass semantics, shared by both engines and pinned by the tests:
 
@@ -57,7 +61,7 @@ non-final pass moves at least one vertex out of the unreached set.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Any, Collection
+from typing import Any, Sequence
 
 from ._value import Value, set_slot
 from .errors import InvariantViolationError, NotASubjectError, SameIslandError, SameVertexError
@@ -152,9 +156,10 @@ def check_query(g: ProtectionGraph, s: VertexId, f: VertexId, direction: Directi
 def _search(
     g: ProtectionGraph,
     s: VertexId,
-    goals: Collection[VertexId],
+    goals: Sequence[VertexId],
     direction: Direction,
-) -> tuple[list[VertexId | None], list[tuple[int, tuple[VertexId, ...]]]]:
+    feeds: dict[VertexId, list[VertexId]] | None,
+) -> tuple[list[VertexId | None] | None, list[tuple[int, tuple[VertexId, ...]]]]:
     """The frontier engine: search from *s* until every goal is reached.
 
     Returns ``(pred, trace)``: ``pred`` is indexed by vertex id and holds,
@@ -162,13 +167,25 @@ def _search(
     holds itself), ``None`` for every unreached object and goal, and
     their own id for the other subjects, which no search may claim;
     ``trace`` holds one ``(pass_number, ids_added)`` entry per pass.
-    *goals* is a one-tuple or, for several goals, a frozenset.
-    Objects and goals may be claimed; claimed objects are expanded on
-    the next pass, goals never are.  The search ends after the pass that
-    reaches the last goal, after a pass that adds nothing, or as soon as
-    nothing claimable is left (see ``bridge_exists``).  It costs one
-    O(vertices) copy of the graph's kind table plus O(t arcs out of the
-    vertices it scans).
+    When *s* has no t arc in the walk direction, or nothing is
+    claimable, ``pred`` is ``None`` and the trace is ``[(1, ())]``: the
+    one pass a full scan would run claims nothing, and no list is copied.
+
+    *goals* is a one-tuple with *feeds* ``None``, or several goals with
+    *feeds* mapping each vertex that has a t arc into one of them, in
+    the walk direction, to those goals.  Objects and goals may be
+    claimed; claimed objects are expanded on the next pass, goals never
+    are.  One goal is claimed by the scan, like any object.  Several
+    goals are claimed from the goal side at the top of each pass, so
+    they never enter a trace: only the frontier's feeders can claim a
+    goal still unclaimed, because an earlier scan of any other reached
+    feeder would have claimed it, and the smallest of them is the one an
+    ascending scan would claim it from.  The search ends when the last
+    goal is reached (several goals: before that pass is scanned), after
+    a pass that adds nothing, or as soon as nothing claimable is left
+    (see ``bridge_exists``).  It costs one O(vertices) copy of the
+    graph's kind table plus O(t arcs out of the vertices it scans), and
+    with several goals one dict lookup per frontier vertex.
     """
     if direction is Direction.FORWARD:
         step, into, entered = g._t_succ, g._t_pred, g._t_entered_objects
@@ -183,11 +200,10 @@ def _search(
     for f in goals:
         if subject_id[f] is not None and into[f]:
             remaining += 1
-    # A single goal ends the search in the pass that claims it, so only
-    # several goals need claimed goals taken out of the next frontier.
-    several = len(goals) > 1
+    if not remaining or not step[s]:
+        return None, [(1, ())]
     pending = list(goals)
-    goal = pending.pop()  # the goal each pass end checks first
+    goal = pending.pop()  # the goal each pass start checks first
     # One slot per vertex, copied in C from the graph's kind table: None
     # for objects, a subject's own id for subjects.  Clearing the goals
     # leaves None exactly on what may be claimed, so a claim test is one
@@ -197,9 +213,24 @@ def _search(
         pred[f] = None
     pred[s] = s
     trace: list[tuple[int, tuple[VertexId, ...]]] = []
-    frontier: list[VertexId] = [s] if remaining else []
+    frontier: list[VertexId] = [s]
     passes = 0
     while True:
+        if feeds is not None:
+            # The goal-side ("bottom-up") step of Beamer, Asanovic &
+            # Patterson, "Direction-Optimizing Breadth-First Search" (SC
+            # 2012), for the goals alone; the frontier is ascending.
+            for v in frontier:
+                fed = feeds.get(v)
+                if fed is not None:
+                    for f in fed:
+                        if pred[f] is None:
+                            pred[f] = v
+                            remaining -= 1
+        while pred[goal] is not None:
+            if not pending:
+                return pred, trace
+            goal = pending.pop()
         passes += 1
         added: list[VertexId] = []
         for v in frontier:
@@ -217,15 +248,8 @@ def _search(
             frontier = added
         added.sort()
         trace.append((passes, tuple(added)))
-        while pred[goal] is not None:
-            if not pending:
-                return pred, trace
-            goal = pending.pop()
         if not added:
             return pred, trace
-        if several and not goals.isdisjoint(frontier):
-            # Goals are claimed, never expanded.
-            frontier = [w for w in frontier if w not in goals]
 
 
 def bridge_exists(
@@ -249,13 +273,15 @@ def bridge_exists(
     A query therefore costs one O(vertices) copy of its predecessor list
     plus O(t arcs out of the vertices it scans): at most the t arcs out
     of the reached set, and on a worst-case miss only up to the arc that
-    claims the last claimable vertex.  This is the single-goal case of
-    the search ``bridges_between_islands`` runs once per source.
+    claims the last claimable vertex.  A start with no t arc in the
+    walk direction, or a graph with nothing claimable, is answered in
+    O(1): one empty pass, no copy.  This is the single-goal case of the
+    search ``bridges_between_islands`` runs once per source.
     """
     check_query(g, s, f, direction)
-    pred, trace = _search(g, s, (f,), direction)
+    pred, trace = _search(g, s, (f,), direction, None)
     # f is a goal, so its slot is None until a search claims it.
-    path = _path(pred, s, f, direction) if pred[f] is not None else None
+    path = _path(pred, s, f, direction) if pred is not None and pred[f] is not None else None
     return SearchReport(path is not None, direction, path, len(trace), tuple(trace))
 
 
@@ -335,15 +361,21 @@ def bridges_between_islands(
     Runs one frontier search per member of island_a, with every member
     of island_b as a goal: goals are claimed but never expanded, so each
     path equals the one ``find_bridge_path(g, s, f, direction)`` gives,
-    with |A| searches instead of |A|*|B|.  The result is sorted by
-    (s, f) because members come ascending.
+    with |A| searches instead of |A|*|B|.  With several goals, their
+    t-lists are read once per call into a map from each feeder to the
+    goals it feeds, and each search claims the goals from that map at
+    the top of a pass, one dict lookup per frontier vertex, so it ends
+    before scanning the pass that reaches its last goal.  A member that
+    can claim nothing is skipped without a search.  The result is sorted
+    by (s, f) because members come ascending.
 
     Both islands must come from ``compute_islands(g)``.  Every member is
     checked to be a subject of *g* (``UnknownVertexError`` for an id
     outside it, ``NotASubjectError`` for an object), and two islands with
-    one index or a shared member raise ``SameIslandError``, all before
-    any search; the partition itself is not recomputed, which would cost
-    O(arcs) per call.
+    one index, members that are not strictly ascending, or a shared
+    member raise ``SameIslandError``, all before any search; the
+    partition itself is not recomputed, which would cost O(arcs) per
+    call.
     """
     _check_direction(direction)
     if island_a.index == island_b.index:
@@ -353,16 +385,35 @@ def bridges_between_islands(
             raise NotASubjectError(
                 f"island member {g.vertex_name(v)!r} is an object; islands contain only subjects"
             )
-    goals = frozenset(island_b.members)
+    members = set(island_b.members)
+    for island in (island_a, island_b):
+        for u, v in zip(island.members, island.members[1:]):
+            if u >= v:
+                order = "twice" if u == v else f"after {g.vertex_name(u)!r}"
+                raise SameIslandError(
+                    f"island {island.index} lists member {g.vertex_name(v)!r} {order};"
+                    " members must be strictly ascending"
+                )
     for v in island_a.members:
-        if v in goals:
+        if v in members:
             raise SameIslandError(
                 f"islands {island_a.index} and {island_b.index} share member {g.vertex_name(v)!r}"
             )
+    goals = island_b.members
+    feeds: dict[VertexId, list[VertexId]] | None = None
+    if len(goals) > 1:
+        # Every goal's in-list is read once per call, never once per pass.
+        into = g._t_pred if direction is Direction.FORWARD else g._t_succ
+        feeds = {}
+        for f in goals:
+            for v in into[f]:
+                feeds.setdefault(v, []).append(f)
     found: list[tuple[VertexId, VertexId, BridgePath]] = []
     for s in island_a.members:
-        pred, _ = _search(g, s, goals, direction)
-        for f in island_b.members:  # all goals: None until claimed
+        pred, _ = _search(g, s, goals, direction, feeds)
+        if pred is None:
+            continue  # s claims nothing
+        for f in goals:  # None until claimed
             if pred[f] is not None:
                 found.append((s, f, _path(pred, s, f, direction)))
     return found

@@ -43,7 +43,7 @@ class SameVertexError(TakeGrantError):
 
 
 class SameIslandError(TakeGrantError):
-    """Inter-island bridge enumeration needs two distinct islands."""
+    """Inter-island bridge enumeration needs two disjoint islands of strictly ascending members."""
 
 
 class TooLargeError(TakeGrantError):

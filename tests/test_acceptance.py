@@ -23,9 +23,11 @@ from takegrant import (
     VertexKind,
     bridge_exists,
     bridge_exists_faithful,
+    bridges_between_islands,
     brute_force_bridge,
     compute_islands,
     enumerate_t_arc_graphs,
+    find_bridge_path,
     parse_graph,
     random_graph,
     serialize_graph,
@@ -36,6 +38,7 @@ from helpers import (
     LENGTH2_BRIDGE_TGG,
     chain_graph,
     copy_without_arc,
+    make_graph,
     naive_island_partition,
 )
 
@@ -341,26 +344,28 @@ class _CountingDict(dict):
         return super().items()
 
 
-def _counted_run(engine, g, attr, container, s, f, direction):
-    """(report, arcs examined) of one *engine* run with *g.attr* counted."""
+def _counted_run(engine, g, attrs, container, s, f, direction):
+    """(result, arcs examined) of one *engine* run with each of *g.attrs* counted."""
     tally = _Tally()
-    original = getattr(g, attr)
-    counting = []
-    for items in original:
-        wrapped = container(items)
-        wrapped.tally = tally
-        counting.append(wrapped)
-    setattr(g, attr, counting)
+    originals = {attr: getattr(g, attr) for attr in attrs}
+    for attr, original in originals.items():
+        counting = []
+        for items in original:
+            wrapped = container(items)
+            wrapped.tally = tally
+            counting.append(wrapped)
+        setattr(g, attr, counting)
     try:
         report = engine(g, s, f, direction)
     finally:
-        setattr(g, attr, original)
+        for attr, original in originals.items():
+            setattr(g, attr, original)
     return report, tally.arcs
 
 
 def _frontier_arcs(g, s, f, direction):
     attr = "_t_succ" if direction is Direction.FORWARD else "_t_pred"
-    report, arcs = _counted_run(bridge_exists, g, attr, _CountingList, s, f, direction)
+    report, arcs = _counted_run(bridge_exists, g, (attr,), _CountingList, s, f, direction)
     assert report == bridge_exists(g, s, f, direction)
     return report, arcs
 
@@ -371,7 +376,7 @@ def _faithful_arcs(g, s, f, direction):
     returned is the uncounted one."""
     walked = g if direction is Direction.FORWARD else g.reverse()
     counted, arcs = _counted_run(
-        bridge_exists_faithful, walked, "_out", _CountingDict, s, f, Direction.FORWARD
+        bridge_exists_faithful, walked, ("_out",), _CountingDict, s, f, Direction.FORWARD
     )
     report = bridge_exists_faithful(g, s, f, direction)
     assert (counted.exists, counted.passes, counted.frontier_trace) == (
@@ -449,6 +454,93 @@ def test_frontier_arcs_at_most_t_arcs(direction):
     for g in _count_sweep_cases():
         _, arcs = _frontier_arcs(g, 0, 1, direction)
         assert arcs <= _t_arc_count(g)
+
+
+# bridges_between_islands with several goals claims each goal from the
+# goal side: it reads every goal's in-list once per call, and at the top of
+# each pass looks the frontier up in the feeders those lists give.  These
+# tests count the out-lists and the in-lists it reads.
+
+
+def _between_arcs(g, island_a, island_b, direction):
+    """(bridges, t-list arcs read) of one ``bridges_between_islands`` call."""
+    found, arcs = _counted_run(
+        bridges_between_islands, g, ("_t_succ", "_t_pred"), _CountingList, island_a, island_b, direction
+    )
+    assert found == bridges_between_islands(g, island_a, island_b, direction)
+    return [(s, f, path.vertices) for s, f, path in found], arcs
+
+
+def _t_arcs(pairs, direction):
+    """(src, dst, "t") triples for *pairs*, flipped for a backward walk, so
+    one layout serves both directions."""
+    return [(a, b, "t") if direction is Direction.FORWARD else (b, a, "t") for a, b in pairs]
+
+
+@pytest.mark.parametrize("direction", BOTH, ids=lambda d: d.value)
+def test_goals_claimed_before_their_pass_is_scanned(direction):
+    # a reaches x1 and x2 in pass 1 and y1 and y2 in pass 2.  y1 feeds the
+    # goal b1 and y2 the goal b2, and each leads on to one more object.
+    # q is entered only from the subject c, so the claimable count never
+    # reaches zero and saturation cannot cut pass 3 short.  The goals are
+    # claimed from pass 3's frontier before it is scanned: the call reads
+    # the out-lists of a, x1 and x2 and the goals' in-lists, and none of
+    # the 4 arcs out of y1 and y2 that a top-down pass 3 would examine.
+    g = make_graph(
+        [("a", "s"), ("b1", "s"), ("b2", "s"), ("c", "s"), ("x1", "o"), ("x2", "o"),
+         ("y1", "o"), ("y2", "o"), ("z1", "o"), ("z2", "o"), ("q", "o")],
+        [("b1", "b2", "g")] + _t_arcs(
+            [("a", "x1"), ("a", "x2"), ("x1", "y1"), ("x2", "y2"),
+             ("y1", "b1"), ("y1", "z1"), ("y2", "b2"), ("y2", "z2"), ("c", "q")],
+            direction,
+        ),
+    )
+    island_a, island_b, _ = compute_islands(g)
+    assert (island_a.members, island_b.members) == ((0,), (1, 2))
+    found, arcs = _between_arcs(g, island_a, island_b, direction)
+    assert found == [(0, 1, (0, 4, 6, 1)), (0, 2, (0, 5, 7, 2))]
+    assert arcs == (2 + 1 + 1) + (1 + 1)
+
+
+@pytest.mark.parametrize("direction", BOTH, ids=lambda d: d.value)
+def test_goal_in_lists_read_once_per_call(direction):
+    # a runs down the 1,000-object chain o1 .. o1000 into the goal b1.
+    # o1000 also leads to p1 .. p300, each of which feeds b1, and p300
+    # feeds the goal b2 as well.  A top-down scan examines 1,602 arcs: one
+    # per pass down the chain, 301 out of o1000 and 301 out of p1 .. p300.
+    # Reading the goals' in-lists once per pass instead of once per call
+    # would add about 302 reads for each of the 1,002 passes.
+    n, late = 1000, 300
+    chain = ["a"] + [f"o{i}" for i in range(1, n + 1)] + ["b1"]
+    feeders = [f"p{i}" for i in range(1, late + 1)]
+    pairs = list(zip(chain, chain[1:]))
+    pairs += [(f"o{n}", p) for p in feeders] + [(p, "b1") for p in feeders] + [(feeders[-1], "b2")]
+    g = make_graph(
+        [("a", "s"), ("b1", "s"), ("b2", "s")] + [(v, "o") for v in chain[1:-1] + feeders],
+        [("b1", "b2", "g")] + _t_arcs(pairs, direction),
+    )
+    island_a, island_b = compute_islands(g)
+    found, arcs = _between_arcs(g, island_a, island_b, direction)
+    assert [(s, f, len(vertices)) for s, f, vertices in found] == [(0, 1, n + 2), (0, 2, n + 3)]
+    goal_in_degree = (1 + late) + 1
+    assert arcs <= 1602 + goal_in_degree
+
+
+@pytest.mark.parametrize("direction", BOTH, ids=lambda d: d.value)
+def test_goal_claimed_from_its_smallest_feeder(direction):
+    # x1 and x2 are both in pass 2's frontier and both feed the goal b1.
+    # x2's arc is inserted first, so b1's t-list holds x2 before x1; an
+    # ascending top-down scan claims b1 from x1, and so must the goal side.
+    g = make_graph(
+        [("a", "s"), ("b1", "s"), ("b2", "s"), ("x1", "o"), ("x2", "o")],
+        [("b1", "b2", "g")] + _t_arcs([("a", "x1"), ("a", "x2"), ("x2", "b1"), ("x1", "b1")], direction),
+    )
+    into = g._t_pred if direction is Direction.FORWARD else g._t_succ
+    assert into[1] == [4, 3]
+    island_a, island_b = compute_islands(g)
+    found, _ = _between_arcs(g, island_a, island_b, direction)
+    assert found == [(0, 1, (0, 3, 1))]
+    assert found[0][2] == find_bridge_path(g, 0, 1, direction).vertices
 
 
 @pytest.mark.parametrize("direction", BOTH, ids=lambda d: d.value)

@@ -384,6 +384,52 @@ class TestBetweenIslands:
                 with pytest.raises(SameIslandError, match=f"islands 0 and 1 share member '{shared}'"):
                     bridges_between_islands(g, Island(0, first), Island(1, second), direction)
 
+    def test_repeated_member_rejected(self):
+        # a -t-> x -t-> b: a member listed twice used to return the bridge
+        # (a, b, (a, x, b)) twice.
+        g = make_graph([("a", "s"), ("b", "s"), ("x", "o")], [("a", "x", "t"), ("x", "b", "t")])
+        for direction in BOTH:
+            for first, second, index, repeated in [((0, 0), (1,), 0, "a"), ((0,), (1, 1), 1, "b")]:
+                with pytest.raises(SameIslandError, match=f"island {index} lists member '{repeated}' twice"):
+                    bridges_between_islands(g, Island(0, first), Island(1, second), direction)
+
+    def test_descending_members_rejected(self):
+        # The result is sorted by (s, f) only because members ascend.
+        g = make_graph([("a", "s"), ("b", "s"), ("c", "s"), ("x", "o")],
+                       [("a", "x", "t"), ("b", "x", "t"), ("x", "c", "t")])
+        for direction in BOTH:
+            with pytest.raises(SameIslandError, match="island 0 lists member 'a' after 'b'"):
+                bridges_between_islands(g, Island(0, (1, 0)), Island(1, (2,)), direction)
+
+    def test_source_that_claims_nothing_copies_no_list(self):
+        # Neither a start without a t arc in the walk direction nor a graph
+        # with nothing claimable needs the per-query predecessor list.
+        class NoCopy(list):
+            def copy(self):
+                raise AssertionError("the kind table was copied")
+
+        g = make_graph([("a", "s"), ("b", "s"), ("c", "s"), ("x", "o")],
+                       [("a", "x", "t"), ("x", "b", "t"), ("c", "a", "t")])
+        subjects_only = make_graph([("a", "s"), ("b", "s"), ("c", "s")], [("a", "b", "t")])
+        one_pass = ((1, ()),)
+        for graph, s, f, direction in [
+            (g, 1, 0, Direction.FORWARD),  # b has no t arc out
+            (g, 2, 0, Direction.BACKWARD),  # c has no t arc in
+            (subjects_only, 0, 2, Direction.FORWARD),  # a has a t arc, but nothing is claimable
+        ]:
+            expected = bridge_exists_faithful(graph, s, f, direction)
+            assert expected.frontier_trace == one_pass and expected.path is None
+            original = graph._subject_id
+            graph._subject_id = NoCopy(original)
+            try:
+                assert bridge_exists(graph, s, f, direction) == expected
+                assert bridges_between_islands(graph, Island(0, (s,)), Island(1, (f,)), direction) == []
+            finally:
+                graph._subject_id = original
+        # Source b skips its search; c still finds its bridge.
+        found = bridges_between_islands(g, Island(0, (1, 2)), Island(1, (0,)), Direction.FORWARD)
+        assert [(s, f, p.vertices) for s, f, p in found] == [(2, 0, (2, 0))]
+
     def test_islands_of_another_graph_rejected(self):
         # Islands 0 and 1 of five isolated subjects are {0} and {1}; in
         # the figure, 1 is the object x.  Islands 3 and 4 name ids the
