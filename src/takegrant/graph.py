@@ -102,6 +102,9 @@ _RIGHTS = tuple(
     frozenset(right for right, bit in _BIT.items() if mask & bit) for mask in range(16)
 )
 _LETTERS = tuple("".join(right.value for right in RIGHT_ORDER if right in rs) for rs in _RIGHTS)
+# Rights frozenset -> mask, for the 15 non-empty ones: add_edge maps
+# these objects, the ones edges() hands out, in one lookup.
+_MASK_OF = {rs: mask for mask, rs in enumerate(_RIGHTS) if mask}
 
 
 class Edge(Value):
@@ -122,11 +125,13 @@ class ProtectionGraph:
     """Directed rights-labelled graph over named subject/object vertices.
 
     Arcs live in one store, ``_out``: a rights-mask dict per vertex, keyed
-    by the arc's target.  The only index over it is the t-lists, the
-    per-vertex t-successor and t-predecessor lists, kept up to date by
-    ``add_vertex``/``add_edge``, so a query never writes to the graph: a
-    fully built graph may be shared across threads for reading, while
-    mutation needs exclusive access.
+    by the arc's target.  Two methods write arcs, the same way:
+    ``add_edge``, checked, for callers, and ``_insert``, unchecked, for
+    ``parse_graph`` and the generators.  The only index over the store
+    is the t-lists, the per-vertex t-successor and t-predecessor lists,
+    kept up to date by ``add_vertex`` and both arc writers, so a query
+    never writes to the graph: a fully built graph may be shared across
+    threads for reading, while mutation needs exclusive access.
 
     Kind has one record, ``_subject_id``: a vertex's own id for a
     subject, ``None`` for an object, so the frontier engine can copy it
@@ -189,7 +194,9 @@ class ProtectionGraph:
 
         Every item of *rights* must be a ``Right``; otherwise
         ``InvalidRightError`` names the first bad item and the graph is
-        left unchanged.
+        left unchanged.  The frozensets ``edges()`` and ``rights_between``
+        hand out are mapped to their masks in one dict lookup; any other
+        iterable, an equal frozenset too, is read item by item.
         """
         n = len(self._names)
         # The checks _require makes, inlined for the common case of two
@@ -198,21 +205,42 @@ class ProtectionGraph:
         if not (src.__class__ is int and dst.__class__ is int and 0 <= src < n and 0 <= dst < n):
             self._require(src)
             self._require(dst)
-        mask = 0
-        for right in rights:
-            # A class check and a lookup by letter: hashing the member
-            # itself would call the Python-level Enum.__hash__.
-            if right.__class__ is not Right:
-                raise InvalidRightError(
-                    f"arc {self._names[src]} -> {self._names[dst]}: {right!r} is not a Right"
-                )
-            mask |= _LETTER_BIT[right._value_]
-        if not mask:
-            raise EmptyRightsError(f"arc {self._names[src]} -> {self._names[dst]} has no rights")
-        self._insert(src, dst, mask)
+        # Only edges()' own frozensets skip the loop: a set is unhashable,
+        # and an equal frozenset may hold a non-Right that compares equal.
+        mask = _MASK_OF.get(rights, 0) if rights.__class__ is frozenset else 0
+        if not mask or _RIGHTS[mask] is not rights:
+            mask = 0
+            for right in rights:
+                # A class check and a lookup by letter: hashing the member
+                # itself would call the Python-level Enum.__hash__.
+                if right.__class__ is not Right:
+                    raise InvalidRightError(
+                        f"arc {self._names[src]} -> {self._names[dst]}: {right!r} is not a Right"
+                    )
+                mask |= _LETTER_BIT[right._value_]
+            if not mask:
+                raise EmptyRightsError(f"arc {self._names[src]} -> {self._names[dst]} has no rights")
+        # The same write as _insert, without its second call; keep the two alike.
+        out = self._out[src]
+        old = out.get(dst, 0)
+        merged = out[dst] = old | mask
+        if (merged ^ old) & _T:
+            succ = self._t_succ[src]
+            if not succ and self._subject_id[src] is None:
+                self._t_left_objects += 1
+            succ.append(dst)
+            pred = self._t_pred[dst]
+            if not pred and self._subject_id[dst] is None:
+                self._t_entered_objects += 1
+            pred.append(src)
 
     def _insert(self, src: VertexId, dst: VertexId, mask: int) -> None:
-        """Union *mask* into the arc src -> dst; ids already checked."""
+        """Union *mask* into the arc src -> dst; ids already checked.
+
+        The unchecked entry for ``parse_graph`` and the oracle's
+        generators.
+        """
+        # The same write as add_edge's; keep the two alike.
         out = self._out[src]
         old = out.get(dst, 0)
         merged = out[dst] = old | mask

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import multiprocessing
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -335,13 +336,26 @@ class TestErrors:
         with pytest.raises(UnknownVertexError):
             bridge_exists(g, 0, 11)
 
-    @pytest.mark.parametrize("s, f", [(0, True), (False, 2), (True, 2)])
-    @pytest.mark.parametrize("engine", [bridge_exists, bridge_exists_faithful, brute_force_bridge])
+    @pytest.mark.parametrize(
+        "s, f", [(0, True), (False, 2), (True, 2), (0, 3), (3, 0), (-1, 2), (3, -1), (0, 2.0)]
+    )
+    @pytest.mark.parametrize(
+        "engine", [bridge_exists, bridge_exists_faithful, brute_force_bridge, find_bridge_path]
+    )
     def test_bool_vertex_rejected(self, engine, s, f):
-        # bool is an int subclass, and True == 1 is the figure's object.
+        # bool is an int subclass, and True == 1 is the figure's object;
+        # out-of-range and non-int ids fail the same way, naming s first.
+        # Any other int subclass is a vertex id like its int.
+        class Vid(int):
+            pass
+
         g = figure_graph()
-        with pytest.raises(UnknownVertexError, match="is not in this graph"):
+        bad = s if s.__class__ is not int or not 0 <= s < 3 else f
+        with pytest.raises(UnknownVertexError, match=f"^vertex id {re.escape(repr(bad))} is not in this graph$"):
             engine(g, s, f)
+        for direction in BOTH:
+            assert engine(g, Vid(0), Vid(2), direction) == engine(g, 0, 2, direction)
+            assert engine(g, Vid(2), 0, direction) == engine(g, 2, 0, direction)
 
     @pytest.mark.parametrize("direction", ["forward", None, 1])
     @pytest.mark.parametrize(

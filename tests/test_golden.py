@@ -39,6 +39,7 @@ from takegrant import (
     ProtectionGraph,
     RandomGraphSpec,
     Right,
+    SplitMix64,
     VertexKind,
     bridge_exists,
     bridge_exists_faithful,
@@ -86,6 +87,33 @@ def _mixed() -> list[tuple[str, ProtectionGraph]]:
         spec = RandomGraphSpec(1 + i % 4, i % 6, (0.15, 0.3, 0.5)[i % 3], frozenset(Right),
                                seed=110_000 + i)
         corpus.append((f"mixed graph seed {spec.seed}", random_graph(spec)))
+    return corpus
+
+
+@functools.cache
+def _feeders() -> list[tuple[str, ProtectionGraph]]:
+    """40 seeded graphs of three islands of 2-3 subjects, each island a
+    g chain, with objects declared between them.  Every ordered pair
+    that is not two subjects carries a t arc with probability 0.4, so a
+    goal of a multi-goal search is often fed by several vertices of one
+    pass, and only the smallest of them may claim it."""
+    corpus = []
+    for i in range(40):
+        rng = SplitMix64(120_000 + i)
+        g = ProtectionGraph()
+        ids = []
+        for k, size in enumerate((2 + i % 2, 2 + i // 2 % 2, 2)):
+            members = [g.add_vertex(f"s{k}_{j}", VertexKind.SUBJECT) for j in range(size)]
+            for a, b in zip(members, members[1:]):
+                g.add_edge(a, b, {Right.G})
+            ids += members
+            ids += [g.add_vertex(f"o{k}_{j}", VertexKind.OBJECT) for j in range(1 + (i + k) % 3)]
+        for a in ids:
+            for b in ids:
+                both_subjects = g.vertex_kind(a) is g.vertex_kind(b) is VertexKind.SUBJECT
+                if a != b and not both_subjects and rng.next_unit() < 0.4:
+                    g.add_edge(a, b, {Right.T})
+        corpus.append((f"feeder graph seed {120_000 + i}", g))
     return corpus
 
 
@@ -201,6 +229,7 @@ PARTS = {
     "reports.faithful.mixed": (lambda: _reports(bridge_exists_faithful, _mixed()), _BLOCK),
     "islands": (lambda: _islands(_both()), _BLOCK),
     "bridges_between_islands": (lambda: _between(_both()), _BLOCK),
+    "bridges_between_islands.feeders": (lambda: _between(_feeders()), 1),
     "serialize_graph": (lambda: [(label, serialize_graph(g)) for label, g in _both()], _BLOCK),
     "report_json.mixed": (lambda: _json(_mixed()), _BLOCK),
     "cli": (_cli, 1),
@@ -244,6 +273,8 @@ def test_golden_digest(part):
 
 # Recorded at the commit before "t_successors"/"t_predecessors" replaced
 # the any-right neighbour queries; that change left every part as it was.
+# "bridges_between_islands.feeders" was added later, recorded at the
+# commit before add_edge gained its frozenset lookup.
 GOLDEN: dict[str, tuple[str, str]] = {
     "reports.frontier.t_arc4": (
         "2b7ec480b8e3b4fce2c29cb89efcf32f1581081dd7caa00d110b14461843171c",
@@ -296,6 +327,14 @@ GOLDEN: dict[str, tuple[str, str]] = {
         "f9c39711ed40e704f9c39711bf3ce8def9c397115cf47d93f9c39711d3f2539cf9c39711"
         "5cf47d93f9c39711bf3ce8def9c39711e91669bbf9c397118a805aaef9c39711ed40e704"
         "f9c39711bc9d84a36e18c2ac76ca7e2f8ea2ef3ee6e8e251",
+    ),
+    "bridges_between_islands.feeders": (
+        "10d24278b10d240fce7ba8d6b0a147055341924d877d5ad52315b125ceaa199c",
+        "3c959892894c1a4eccee6ec478a08d7e7c345ae05accc5e127561d10b56675859665eb82"
+        "227bbaf8fcd5b1aeedca404b41bd36a3aea96e7d3c2d13688caff544b9f49ba6b72befa9"
+        "4d157c0ccaa642814c2f44f1dcae43c1b1a3a441012b45bed91b1894155bdaaf5f246c53"
+        "b22c0a8b98addacea75afb377cbc2528812f70c62c8cbdc6de6e3375bb88807d146fa0fe"
+        "680d7ed3f97432ceae18e76d1945b442",
     ),
     "serialize_graph": (
         "ba59d7f9ff38ccbeae6bc6e2a5985d6dbad9deb10afd357d914454f42ceafeea",

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import itertools
 import random
 import re
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from takegrant import (
+    RIGHT_ORDER,
     Direction,
     DuplicateNameError,
     EmptyRightsError,
@@ -39,6 +41,19 @@ from helpers import LENGTH2_BRIDGE_TGG, graphs, make_graph, tgg_documents
 
 def figure_graph():
     return parse_graph(LENGTH2_BRIDGE_TGG)
+
+
+class _EqualsT:
+    """Hashes and compares equal to ``Right.T`` without being a ``Right``."""
+
+    def __hash__(self):
+        return hash(Right.T)
+
+    def __eq__(self, other):
+        return other is Right.T or other.__class__ is _EqualsT
+
+    def __repr__(self):
+        return "EqualsT()"
 
 
 class TestConstruction:
@@ -99,12 +114,23 @@ class TestConstruction:
 
     def test_add_edge_empty_rights(self):
         g = make_graph([("s", "s"), ("x", "o")])
-        with pytest.raises(EmptyRightsError):
-            g.add_edge(0, 1, set())
+        for empty in (set(), frozenset(), []):
+            with pytest.raises(EmptyRightsError):
+                g.add_edge(0, 1, empty)
+        assert g.edges() == []
 
     @pytest.mark.parametrize(
         "rights, bad",
-        [("t", "'t'"), ([Right.T, "g"], "'g'"), ([Right.G, 1], "1"), ([["t"]], "['t']")],
+        [
+            ("t", "'t'"),
+            ([Right.T, "g"], "'g'"),
+            ([Right.G, 1], "1"),
+            ([["t"]], "['t']"),
+            # A frozenset other than edges()' own is read item by item,
+            (frozenset({Right.T, "g"}), "'g'"),
+            # even one equal to edges()' {t}.
+            (frozenset({_EqualsT()}), "EqualsT()"),
+        ],
     )
     def test_add_edge_rejects_non_right_items(self, rights, bad):
         g = make_graph([("s", "s"), ("x", "o")], [("x", "s", "g")])
@@ -116,6 +142,23 @@ class TestConstruction:
         assert g.rights_between(0, 1) == frozenset()
         assert g.t_successors(0) == []
         assert not bridge_exists(g, 0, 1).exists
+
+    def test_add_edge_frozenset_subclass_read_item_by_item(self):
+        class Rights(frozenset):
+            iterations = 0
+
+            def __iter__(self):
+                Rights.iterations += 1
+                return super().__iter__()
+
+        g = make_graph([("s", "s"), ("x", "o")])
+        g.add_edge(0, 1, Rights({Right.T, Right.G}))
+        assert Rights.iterations == 1  # the loop ran; no mask lookup took it
+        assert g.rights_between(0, 1) == {Right.T, Right.G}
+        assert g.t_successors(0) == [1]
+        with pytest.raises(InvalidRightError, match=re.escape("'g' is not a Right")):
+            g.add_edge(1, 0, Rights({Right.T, "g"}))
+        assert g.rights_between(1, 0) == frozenset()
 
     def test_add_edge_unknown_vertex(self):
         g = make_graph([("s", "s")])
@@ -148,6 +191,61 @@ class TestConstruction:
     def test_self_loop_allowed(self):
         g = make_graph([("s", "s")], [("s", "s", "t")])
         assert g.rights_between(0, 0) == {Right.T}
+
+
+def _canonical(rights):
+    """The frozenset ``edges()`` hands out for *rights*, the only kind
+    ``add_edge`` maps to its mask without reading it."""
+    g = ProtectionGraph()
+    v = g.add_vertex("v", VertexKind.SUBJECT)
+    g.add_edge(v, v, rights)
+    return g.rights_between(v, v)
+
+
+# Every non-empty subset of the four rights, in RIGHT_ORDER.
+RIGHT_SUBSETS = [
+    frozenset(c) for k in range(1, 5) for c in itertools.combinations(RIGHT_ORDER, k)
+]
+
+
+def _letters(rights) -> str:
+    return "".join(r.value for r in RIGHT_ORDER if r in rights)
+
+
+class TestAddEdgeContainers:
+    """``add_edge`` maps the frozensets ``edges()`` hands out to their
+    masks in one lookup and reads every other iterable item by item, and
+    it writes its arc itself rather than through ``_insert``; every form
+    of every rights subset must leave the graph ``parse_graph`` builds
+    through ``_insert``."""
+
+    TEXT = (
+        "tgg 1\nsubject s\nobject x\nobject y\nsubject u\n"
+        "edge y x g\n"  # an arc the subset is merged into
+        "edge s x {w}\nedge x y {w}\nedge y u {w}\nedge x x {w}\nedge y x {w}\nedge u s {w}\n"
+    )
+    ARCS = [(0, 1), (1, 2), (2, 3), (1, 1), (2, 1), (3, 0)]
+
+    @pytest.mark.parametrize("form", ["fresh frozenset", "canonical frozenset", "set", "list"])
+    @pytest.mark.parametrize("rights", RIGHT_SUBSETS, ids=_letters)
+    def test_every_form_builds_the_parsed_graph(self, rights, form):
+        want = parse_graph(self.TEXT.format(w=_letters(rights)))
+        canonical = want.edges()[0].rights  # the arc s -> x, as edges() hands it out
+        assert canonical == rights
+        make = {
+            "fresh frozenset": lambda: frozenset(list(rights)),
+            "canonical frozenset": lambda: canonical,
+            "set": lambda: set(rights),
+            "list": lambda: [r for r in RIGHT_ORDER if r in rights],
+        }[form]
+        g = make_graph([("s", "s"), ("x", "o"), ("y", "o"), ("u", "s")], [("y", "x", "g")])
+        for src, dst in self.ARCS:
+            g.add_edge(src, dst, make())
+        assert vars(g) == vars(want)  # arc store, t-lists, object counters, names
+        for src, dst in self.ARCS:
+            assert g.rights_between(src, dst) == (rights | {Right.G} if (src, dst) == (2, 1) else rights)
+        g.add_edge(0, 1, make())  # a repeat changes nothing
+        assert vars(g) == vars(want)
 
 
 class TestAdjacency:
@@ -504,7 +602,13 @@ class TestEquality:
 # insert.  This machine mutates one graph the ways a caller can and, after
 # every step, recounts each of them from a model kept beside the graph.
 
-RIGHT_SETS = st.frozensets(st.sampled_from(tuple(Right)), min_size=1)
+# A non-empty rights set in any of the containers add_edge accepts:
+# edges()' own frozenset takes the mask lookup, the others the per-item loop.
+RIGHT_SETS = st.tuples(
+    st.permutations(RIGHT_ORDER),
+    st.integers(1, 4),
+    st.sampled_from((_canonical, frozenset, set, list, tuple)),
+).map(lambda drawn: drawn[2](drawn[0][: drawn[1]]))
 # A query pair, mapped onto the vertices present by the invariant.
 PROBES = st.tuples(st.integers(0, 63), st.integers(0, 63))
 MAX_MODEL_VERTICES = 8  # keeps the brute-force oracle cheap
@@ -521,6 +625,7 @@ class GraphModel(RuleBasedStateMachine):
 
     def _add(self, src, dst, rights, probe):
         self.g.add_edge(src, dst, rights)
+        rights = frozenset(rights)
         old = self.masks.get((src, dst), frozenset())
         self.masks[src, dst] = old | rights
         if Right.T in rights and Right.T not in old:
