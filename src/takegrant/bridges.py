@@ -14,8 +14,8 @@ for real queries.  ``bridge_exists_faithful`` re-scans every arc
 incident to the whole reached set on every pass -- deliberately wasteful
 (cubic in the vertex count) but a more literal rendering of the same
 pass structure, kept so the two can be checked against each other.  It
-reads only the graph's rights masks (flipped, as ``g.reverse()`` holds
-them, for ``t<-*``), never the t-lists the frontier engine walks, so a
+reads only the graph's rights masks (a flipped copy of them for
+``t<-*``), never the t-lists the frontier engine walks, so a
 drift between the two stores shows up as a disagreement.  They must return
 identical reports on every input; the test suite enforces this
 exhaustively on small graphs and statistically on large random ones.
@@ -36,8 +36,8 @@ of the vertices it scans), at most the t arcs out of the reached set; a
 start that can claim nothing is answered without the copy.
 The core takes a set of goals: ``bridge_exists`` is the single-goal
 case, and ``bridges_between_islands`` runs one search per source island
-member with every member of the other island as a goal.  Several goals
-are claimed from the goal side: at the top of each pass, one dict lookup
+member with every member of the other island as a goal.  Its goals are
+claimed from the goal side: at the top of each pass, one dict lookup
 per frontier vertex finds the goals it feeds, so the search ends before
 the pass that reaches its last goal is scanned.
 
@@ -171,21 +171,21 @@ def _search(
     claimable, ``pred`` is ``None`` and the trace is ``[(1, ())]``: the
     one pass a full scan would run claims nothing, and no list is copied.
 
-    *goals* is a one-tuple with *feeds* ``None``, or several goals with
-    *feeds* mapping each vertex that has a t arc into one of them, in
-    the walk direction, to those goals.  Objects and goals may be
-    claimed; claimed objects are expanded on the next pass, goals never
-    are.  One goal is claimed by the scan, like any object.  Several
-    goals are claimed from the goal side at the top of each pass, so
-    they never enter a trace: only the frontier's feeders can claim a
-    goal still unclaimed, because an earlier scan of any other reached
-    feeder would have claimed it, and the smallest of them is the one an
-    ascending scan would claim it from.  The search ends when the last
-    goal is reached (several goals: before that pass is scanned), after
-    a pass that adds nothing, or as soon as nothing claimable is left
-    (see ``bridge_exists``).  It costs one O(vertices) copy of the
-    graph's kind table plus O(t arcs out of the vertices it scans), and
-    with several goals one dict lookup per frontier vertex.
+    Objects and goals may be claimed; claimed objects are expanded on
+    the next pass, goals never are.  *feeds* is ``None`` for
+    ``bridge_exists``, whose one goal is claimed by the scan like any
+    object.  Otherwise it maps each vertex that has a t arc into a goal,
+    in the walk direction, to the goals it feeds, and the goals are
+    claimed from the goal side at the top of each pass, so they never
+    enter a trace: only the frontier's feeders can claim a goal still
+    unclaimed, because an earlier scan of any other reached feeder would
+    have claimed it, and the smallest of them is the one an ascending
+    scan would claim it from.  The search ends when the last goal is
+    reached (with *feeds*: before that pass is scanned), after a pass
+    that adds nothing, or as soon as nothing claimable is left (see
+    ``bridge_exists``).  It costs one O(vertices) copy of the graph's
+    kind table plus O(t arcs out of the vertices it scans), and with
+    *feeds* one dict lookup per frontier vertex.
     """
     if direction is Direction.FORWARD:
         step, into, entered = g._t_succ, g._t_pred, g._t_entered_objects
@@ -296,9 +296,9 @@ def bridge_exists_faithful(
     Every pass walks every arc leaving every vertex reached at pass
     start and picks out the t-labelled ones whose far endpoint is still
     unreached.  It reads only the graph's rights masks, never the
-    t-lists: a ``t<-*`` walk on *g* is a ``t->*`` walk on the flipped
-    masks of ``g.reverse()``, vertex for vertex, so one loop serves both
-    directions.  Vertices are scanned in ascending id order; one
+    t-lists: a ``t<-*`` walk on *g* is a ``t->*`` walk on a copy of its
+    masks with every arc flipped, vertex for vertex, so one loop serves
+    both directions.  Vertices are scanned in ascending id order; one
     vertex's arcs are scanned in store order, since each of them claims
     through that vertex.  Worst case: vertex-count passes, each
     reviewing every arc of an almost fully reached graph.
@@ -361,11 +361,11 @@ def bridges_between_islands(
     Runs one frontier search per member of island_a, with every member
     of island_b as a goal: goals are claimed but never expanded, so each
     path equals the one ``find_bridge_path(g, s, f, direction)`` gives,
-    with |A| searches instead of |A|*|B|.  With several goals, their
-    t-lists are read once per call into a map from each feeder to the
-    goals it feeds, and each search claims the goals from that map at
-    the top of a pass, one dict lookup per frontier vertex, so it ends
-    before scanning the pass that reaches its last goal.  A member that
+    with |A| searches instead of |A|*|B|.  The goals' t-lists are read
+    once per call into a map from each feeder to the goals it feeds,
+    and each search claims the goals from that map at the top of a
+    pass, one dict lookup per frontier vertex, so it ends before
+    scanning the pass that reaches its last goal.  A member that
     can claim nothing is skipped without a search.  The result is sorted
     by (s, f) because members come ascending.
 
@@ -400,14 +400,12 @@ def bridges_between_islands(
                 f"islands {island_a.index} and {island_b.index} share member {g.vertex_name(v)!r}"
             )
     goals = island_b.members
-    feeds: dict[VertexId, list[VertexId]] | None = None
-    if len(goals) > 1:
-        # Every goal's in-list is read once per call, never once per pass.
-        into = g._t_pred if direction is Direction.FORWARD else g._t_succ
-        feeds = {}
-        for f in goals:
-            for v in into[f]:
-                feeds.setdefault(v, []).append(f)
+    # Every goal's in-list is read once per call, never once per pass.
+    into = g._t_pred if direction is Direction.FORWARD else g._t_succ
+    feeds: dict[VertexId, list[VertexId]] = {}
+    for f in goals:
+        for v in into[f]:
+            feeds.setdefault(v, []).append(f)
     found: list[tuple[VertexId, VertexId, BridgePath]] = []
     for s in island_a.members:
         pred, _ = _search(g, s, goals, direction, feeds)

@@ -311,16 +311,6 @@ class ProtectionGraph:
             for dst, mask in sorted(adj.items())
         ]
 
-    def reverse(self) -> ProtectionGraph:
-        """New graph with the same vertices and every arc flipped."""
-        rev = self._without_arcs()
-        rev._out = self._reversed_out()
-        rev._t_succ = [list(ws) for ws in self._t_pred]
-        rev._t_pred = [list(ws) for ws in self._t_succ]
-        rev._t_entered_objects = self._t_left_objects
-        rev._t_left_objects = self._t_entered_objects
-        return rev
-
     def _reversed_out(self) -> list[dict[VertexId, int]]:
         """A new arc store holding every arc of this one flipped, masks kept."""
         out: list[dict[VertexId, int]] = [{} for _ in self._out]

@@ -46,22 +46,34 @@ def chain_graph(length: int):
     return g, s, f, arcs
 
 
-def copy_without_arc(g: ProtectionGraph, skip: tuple[VertexId, VertexId]) -> ProtectionGraph:
-    """Clone *g* minus the one arc (src, dst) named by *skip*."""
+def _vertices_of(g: ProtectionGraph) -> ProtectionGraph:
+    """A new graph declaring *g*'s vertices, in id order, with no arcs."""
     clone = ProtectionGraph()
     for v in range(g.vertex_count):
         clone.add_vertex(g.vertex_name(v), g.vertex_kind(v))
+    return clone
+
+
+def copy_without_arc(g: ProtectionGraph, skip: tuple[VertexId, VertexId]) -> ProtectionGraph:
+    """Clone *g* minus the one arc (src, dst) named by *skip*."""
+    clone = _vertices_of(g)
     for edge in g.edges():
         if (edge.src, edge.dst) != skip:
             clone.add_edge(edge.src, edge.dst, edge.rights)
     return clone
 
 
+def flipped(g: ProtectionGraph) -> ProtectionGraph:
+    """The same vertices as *g*, with every arc reversed through ``add_edge``."""
+    rev = _vertices_of(g)
+    for edge in g.edges():
+        rev.add_edge(edge.dst, edge.src, edge.rights)
+    return rev
+
+
 def t_only_projection(g: ProtectionGraph) -> ProtectionGraph:
     """Clone of *g* keeping only the t component of every arc."""
-    clone = ProtectionGraph()
-    for v in range(g.vertex_count):
-        clone.add_vertex(g.vertex_name(v), g.vertex_kind(v))
+    clone = _vertices_of(g)
     for edge in g.edges():
         if Right.T in edge.rights:
             clone.add_edge(edge.src, edge.dst, {Right.T})

@@ -38,6 +38,7 @@ from helpers import (
     LENGTH2_BRIDGE_TGG,
     chain_graph,
     copy_without_arc,
+    flipped,
     make_graph,
     naive_island_partition,
 )
@@ -64,7 +65,7 @@ class SweepStats:
 def _audit_graph(g: ProtectionGraph, s: int, f: int, stats: SweepStats) -> None:
     """Run every cross-check for one (graph, endpoints) case."""
     stats.trials += 1
-    reversed_g = g.reverse()
+    reversed_g = flipped(g)
     bound = len(traversal_set(g, s, f)) + 1
     for direction in BOTH:
         fast = bridge_exists(g, s, f, direction)
@@ -371,10 +372,10 @@ def _frontier_arcs(g, s, f, direction):
 
 
 def _faithful_arcs(g, s, f, direction):
-    """The faithful engine walks t<-* on g as t->* on ``g.reverse()``, so a
-    backward walk is counted as a forward walk on the reverse; the report
-    returned is the uncounted one."""
-    walked = g if direction is Direction.FORWARD else g.reverse()
+    """The faithful engine walks t<-* on g as t->* on g's masks flipped, so
+    a backward walk is counted as a forward walk on ``flipped(g)``; the
+    report returned is the uncounted one."""
+    walked = g if direction is Direction.FORWARD else flipped(g)
     counted, arcs = _counted_run(
         bridge_exists_faithful, walked, ("_out",), _CountingDict, s, f, Direction.FORWARD
     )
@@ -456,10 +457,10 @@ def test_frontier_arcs_at_most_t_arcs(direction):
         assert arcs <= _t_arc_count(g)
 
 
-# bridges_between_islands with several goals claims each goal from the
-# goal side: it reads every goal's in-list once per call, and at the top of
-# each pass looks the frontier up in the feeders those lists give.  These
-# tests count the out-lists and the in-lists it reads.
+# bridges_between_islands claims each goal from the goal side: it reads
+# every goal's in-list once per call, and at the top of each pass looks
+# the frontier up in the feeders those lists give.  These tests count the
+# out-lists and the in-lists it reads.
 
 
 def _between_arcs(g, island_a, island_b, direction):
@@ -486,20 +487,25 @@ def test_goals_claimed_before_their_pass_is_scanned(direction):
     # claimed from pass 3's frontier before it is scanned: the call reads
     # the out-lists of a, x1 and x2 and the goals' in-lists, and none of
     # the 4 arcs out of y1 and y2 that a top-down pass 3 would examine.
-    g = make_graph(
-        [("a", "s"), ("b1", "s"), ("b2", "s"), ("c", "s"), ("x1", "o"), ("x2", "o"),
-         ("y1", "o"), ("y2", "o"), ("z1", "o"), ("z2", "o"), ("q", "o")],
-        [("b1", "b2", "g")] + _t_arcs(
-            [("a", "x1"), ("a", "x2"), ("x1", "y1"), ("x2", "y2"),
-             ("y1", "b1"), ("y1", "z1"), ("y2", "b2"), ("y2", "z2"), ("c", "q")],
-            direction,
-        ),
-    )
-    island_a, island_b, _ = compute_islands(g)
-    assert (island_a.members, island_b.members) == ((0,), (1, 2))
-    found, arcs = _between_arcs(g, island_a, island_b, direction)
-    assert found == [(0, 1, (0, 4, 6, 1)), (0, 2, (0, 5, 7, 2))]
-    assert arcs == (2 + 1 + 1) + (1 + 1)
+    # Without the g arc that joins b1 and b2, the goal island is b1 alone,
+    # and its one goal is claimed the same way.
+    bridges = [(0, 1, (0, 4, 6, 1)), (0, 2, (0, 5, 7, 2))]
+    for joined in (True, False):
+        g = make_graph(
+            [("a", "s"), ("b1", "s"), ("b2", "s"), ("c", "s"), ("x1", "o"), ("x2", "o"),
+             ("y1", "o"), ("y2", "o"), ("z1", "o"), ("z2", "o"), ("q", "o")],
+            ([("b1", "b2", "g")] if joined else []) + _t_arcs(
+                [("a", "x1"), ("a", "x2"), ("x1", "y1"), ("x2", "y2"),
+                 ("y1", "b1"), ("y1", "z1"), ("y2", "b2"), ("y2", "z2"), ("c", "q")],
+                direction,
+            ),
+        )
+        goals = (1, 2) if joined else (1,)
+        island_a, island_b = compute_islands(g)[:2]
+        assert (island_a.members, island_b.members) == ((0,), goals)
+        found, arcs = _between_arcs(g, island_a, island_b, direction)
+        assert found == bridges[: len(goals)]
+        assert arcs == (2 + 1 + 1) + len(goals)
 
 
 @pytest.mark.parametrize("direction", BOTH, ids=lambda d: d.value)

@@ -36,6 +36,7 @@ from helpers import (
     LENGTH2_BRIDGE_TGG,
     chain_graph,
     copy_without_arc,
+    flipped,
     graphs_with_any_endpoints,
     graphs_with_endpoints,
     make_graph,
@@ -521,7 +522,7 @@ class TestBetweenIslands:
              ("b1", "b2", "g")],
         )
         a, o1, b2 = g.vertex_id("a"), g.vertex_id("o1"), g.vertex_id("b2")
-        for graph, direction in ((g, Direction.FORWARD), (g.reverse(), Direction.BACKWARD)):
+        for graph, direction in ((g, Direction.FORWARD), (flipped(g), Direction.BACKWARD)):
             island_a, island_b = sorted(compute_islands(graph), key=lambda i: len(i.members))
             assert island_a.members == (a,) and len(island_b.members) == 2
             found = bridges_between_islands(graph, island_a, island_b, direction)
@@ -572,7 +573,7 @@ class TestProperties:
     def test_backward_equals_forward_on_reversed(self, case):
         g, s, f = case
         backward = bridge_exists(g, s, f, Direction.BACKWARD)
-        forward_on_rev = bridge_exists(g.reverse(), s, f, Direction.FORWARD)
+        forward_on_rev = bridge_exists(flipped(g), s, f, Direction.FORWARD)
         assert backward.exists == forward_on_rev.exists
         assert backward.passes == forward_on_rev.passes
         assert backward.frontier_trace == forward_on_rev.frontier_trace
@@ -638,6 +639,6 @@ class TestChainFamily:
 
     def test_reversed_chain_found_backward(self):
         g, s, f, _ = chain_graph(6)
-        rev = g.reverse()
+        rev = flipped(g)
         report = bridge_exists(rev, s, f, Direction.BACKWARD)
         assert report.exists and report.path.length == 6

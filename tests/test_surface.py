@@ -28,7 +28,6 @@ def test_benchmark_imports_public_names_and_graph_methods_are_pinned():
         "edge_count",
         "edges",
         "objects",
-        "reverse",
         "rights_between",
         "subjects",
         "t_predecessors",
