@@ -12,13 +12,17 @@ Both hand their arcs to the graph as rights masks, skipping
 ``add_edge``'s checks on ids and rights they made themselves.
 ``random_graph`` runs SplitMix64 on up to 1,024 draws at once, one per
 128-bit lane of a Python int, and reads each draw's decision, exactly
-the one ``next_unit() < p`` would make, from one bit of its lane.
+the one ``next_unit() < p`` would make, from one bit of its lane.  It
+decodes those decisions one source vertex's row at a time, with bytes
+and ``itertools`` operations, so Python steps once per row and per arc
+inserted, never per draw.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from itertools import compress
 from typing import Iterator, Sequence
 
 from ._value import Value, set_slot
@@ -126,7 +130,11 @@ def random_graph(spec: RandomGraphSpec) -> ProtectionGraph:
     per 128-bit lane of a Python int, by ``_mix``; a lane holding
     ``2**64 + limit - 1`` minus the draw keeps bit 64 set exactly when
     the draw is below ``limit``, so byte 8 of each lane is the decision.
-    Only the hits are visited, and a pair's rights go in as one mask.
+    Decisions queue in a buffer until they fill a source's whole row of
+    ``(total - 1) * width`` draws, so it never holds more than one row
+    plus one block.  A row folds into one rights-mask byte per pair;
+    ``compress`` picks the pairs whose mask is not zero, and each goes
+    in as one ``_insert``, in draw order.
     A pool item that is not a ``Right`` raises ``InvalidRightError``; an
     empty pool gives no arcs.
     """
@@ -151,36 +159,45 @@ def random_graph(spec: RandomGraphSpec) -> ProtectionGraph:
     if not draws:
         return g
     limit = math.ceil(spec.arc_probability * 2.0**53) << 11
-    one, low, steps = _lanes()
     # One int object per vertex id, shared by every arc that names it.
     ids = list(range(total))
     insert = g._insert
-    bound = (_MASK64 + limit) * one
+    row = (total - 1) * width
+    # Decisions drawn but not yet decoded: less than one row, plus a block.
+    pending = bytearray()
+    src = 0
+    lanes = 0
     state = spec.seed & _MASK64
-    pair = -1
-    mask = 0
     for start in range(0, draws, _BLOCK):
         k = min(_BLOCK, draws - start)
-        if k < _BLOCK:
+        if k != lanes:
+            # The first block, and a short last one: cut the lanes first,
+            # so a small graph never pays for 1,024 of them.
+            lanes = k
             cut = (1 << 128 * k) - 1
-            one, low, steps, bound = one & cut, low & cut, steps & cut, bound & cut
+            one, low, steps = (x & cut for x in _lanes())
+            bound = (_MASK64 + limit) * one
         z = _mix((state * one + steps) & low, low)
         state = (state + _BLOCK * _GAMMA) & _MASK64
-        hits = (bound - z).to_bytes(16 * k, "little")[8::16]
-        j = hits.find(1)
-        while j >= 0:
-            at, r = divmod(start + j, width)
-            if at != pair:
-                if mask:
-                    src, d = divmod(pair, total - 1)
-                    insert(ids[src], ids[d + (d >= src)], mask)
-                pair = at
-                mask = 0
-            mask |= bits[r]
-            j = hits.find(1, j + 1)
-    if mask:
-        src, d = divmod(pair, total - 1)
-        insert(ids[src], ids[d + (d >= src)], mask)
+        pending += (bound - z).to_bytes(16 * k, "little")[8::16]
+        whole = len(pending) // row * row
+        if not whole:
+            continue
+        folded = 0
+        for r, bit in enumerate(bits):
+            folded |= int.from_bytes(pending[r:whole:width], "little") * bit
+        del pending[:whole]
+        # Byte i is the rights mask drawn for pair i of these rows.
+        masks = folded.to_bytes(whole // width, "little")
+        for at in range(0, len(masks), total - 1):
+            drawn = masks[at : at + total - 1]
+            hits = drawn.translate(None, b"\0")
+            if hits:
+                # No draw is made for src -> src: a zero there lines drawn up with ids.
+                targets = compress(ids, drawn[:src] + b"\0" + drawn[src:])
+                for dst, mask in zip(targets, hits):
+                    insert(ids[src], dst, mask)
+            src += 1
     return g
 
 

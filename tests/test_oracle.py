@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -294,7 +295,16 @@ GOLDEN_STREAMS = [
      "195dc3f9813e576f5203a2ee130c458afbc6cb7292afa73098da6f582b3c1211"),
     (RandomGraphSpec(10, 30, 0.1, frozenset(Right), 424242),
      "fbd1fa8db831560ffb94f38320910a9caaaf9b0ef69fee612ae1872ea822ac9f"),
+    (RandomGraphSpec(1, 300, 0.2, frozenset({Right.T}), 31337),
+     "17e6a75cedbfe0335aef2223126298fb6122c2a43721953a91e4a5c73ef2d6ba"),
+    # Rows of 1,196 draws: every row spans two or three blocks.
+    (RandomGraphSpec(3, 297, 0.01, frozenset(Right), -7),
+     "db7377c898a9f13db8c3e11c691a30c871e022a6718122798c9b265b937244ad"),
 ]
+
+
+def stream_digest(spec: RandomGraphSpec) -> str:
+    return hashlib.sha256(serialize_graph(random_graph(spec)).encode()).hexdigest()
 
 
 def reference_random_graph(spec: RandomGraphSpec) -> ProtectionGraph:
@@ -359,8 +369,7 @@ def draws_and_probabilities(draw):
 class TestStreams:
     @pytest.mark.parametrize("spec, digest", GOLDEN_STREAMS)
     def test_golden_digest(self, spec, digest):
-        text = serialize_graph(random_graph(spec))
-        assert hashlib.sha256(text.encode()).hexdigest() == digest
+        assert stream_digest(spec) == digest
 
     def test_matches_reference_on_seeded_specs(self):
         rng = random.Random(8080)
@@ -392,6 +401,35 @@ class TestStreams:
         assert total * (total - 1) * len(pool) == draws  # past 1,024 draws
         spec = RandomGraphSpec(n_subjects, n_objects, p, pool, seed)
         assert vars(random_graph(spec)) == vars(reference_random_graph(spec))
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            RandomGraphSpec(3, 254, 0.01, frozenset(Right), 11),
+            RandomGraphSpec(2, 298, 0.01, frozenset(Right), -5),
+            RandomGraphSpec(2, 127, 0.01, frozenset(Right), 2**64 + 1),
+            RandomGraphSpec(4, 96, 0.02, frozenset({Right.T, Right.G, Right.W}), 7),
+            RandomGraphSpec(4, 96, 0.0, frozenset({Right.T, Right.G, Right.W}), 7),
+            RandomGraphSpec(4, 96, 1.0, frozenset({Right.T, Right.G, Right.W}), 7),
+        ],
+        ids=["row-is-a-block", "row-spans-blocks", "two-rows-a-block",
+             "3-rights-straddle", "3-rights-straddle-p0", "3-rights-straddle-p1"],
+    )
+    def test_rows_on_and_off_block_edges_match_reference(self, spec):
+        # Rows of (vertices - 1) * rights draws: exactly 1,024, then 1,196,
+        # then 512; 3-right rows of 297 draws split rows and pairs at block edges.
+        assert vars(random_graph(spec)) == vars(reference_random_graph(spec))
+
+    def test_decisions_never_buffered_for_the_whole_stream(self):
+        # 2,247,000 draws, one decision byte each, and no arc to keep.
+        spec = RandomGraphSpec(1, 1499, 0.0, frozenset({Right.T}), 3)
+        tracemalloc.start()
+        try:
+            random_graph(spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1500 * 1499
 
     @pytest.mark.parametrize("index", [0, 1, 2, 1022, 1023, 1024, 1025, 2047, 2048, 2161])
     @pytest.mark.parametrize("k", [1, 3, (1 << 53) - 1])
@@ -455,3 +493,10 @@ class TestSplitMix64:
             z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
             z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
             assert rng.next_u64() == z ^ (z >> 31)
+
+
+if __name__ == "__main__":
+    # After a deliberate change of stream (there should be none), print
+    # each GOLDEN_STREAMS digest: PYTHONPATH=src python tests/test_oracle.py
+    for spec, _ in GOLDEN_STREAMS:
+        print(f"{spec!r}\n    {stream_digest(spec)}")
