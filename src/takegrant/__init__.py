@@ -18,7 +18,6 @@ from .bridges import (
     bridges_between_islands,
     find_bridge_path,
     report_to_jsonable,
-    traversal_set,
     validate_path,
 )
 from .errors import (
@@ -111,6 +110,5 @@ __all__ = [
     "report_to_jsonable",
     "same_island",
     "serialize_graph",
-    "traversal_set",
     "validate_path",
 ]

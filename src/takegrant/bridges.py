@@ -128,7 +128,7 @@ class SearchReport(Value):
         set_slot(self, "frontier_trace", frontier_trace)
 
 
-def traversal_set(g: ProtectionGraph, s: VertexId, f: VertexId) -> set[VertexId]:
+def _traversal_set(g: ProtectionGraph, s: VertexId, f: VertexId) -> set[VertexId]:
     """Vertices a bridge may touch: both endpoints plus every object."""
     verts = set(g.objects())
     verts.add(s)
@@ -306,7 +306,7 @@ def bridge_exists_faithful(
     check_query(g, s, f, direction)
     arcs = g._out if direction is Direction.FORWARD else g._reversed_out()
     reached = {s}
-    unreached = traversal_set(g, s, f) - reached
+    unreached = _traversal_set(g, s, f) - reached
     predecessor: dict[VertexId, VertexId] = {}
     trace: list[tuple[int, tuple[VertexId, ...]]] = []
     while True:
@@ -421,8 +421,10 @@ def validate_path(g: ProtectionGraph, path: BridgePath) -> None:
     """Replay a BridgePath against *g*; raises InvariantViolationError.
 
     Checks simplicity, object-only interiors, and that a t arc in the
-    right orientation backs every step.
+    right orientation backs every step.  A direction that is not a
+    ``Direction`` raises ``TypeError``, as every engine does.
     """
+    _check_direction(path.direction)
     verts = path.vertices
     if len(verts) < 2:
         raise InvariantViolationError("a bridge path needs at least two vertices")

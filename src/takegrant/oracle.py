@@ -1,9 +1,11 @@
 """Ground truth and corpus generation for exercising the search engines.
 
-``brute_force_bridge`` answers bridge queries by recursive enumeration
-of simple paths, shortest first, stopping at the first length that no
+``brute_force_bridge`` answers bridge queries by iterative deepening
+over simple paths, shortest first, stopping at the first length that no
 simple path reaches -- a deliberately different strategy from the
-worklist engines, so a bug in one is unlikely to hide in the other.
+worklist engines, so a bug in one is unlikely to hide in the other.  It
+walks an explicit stack, not Python's call stack, so it needs O(depth)
+memory and has no recursion limit.
 ``enumerate_t_arc_graphs`` walks every t-arc pattern over a small fixed
 vertex set, and ``random_graph`` draws reproducible graphs from a
 seeded SplitMix64 stream.
@@ -26,7 +28,7 @@ from itertools import compress
 from typing import Iterator, Sequence
 
 from ._value import Value, set_slot
-from .bridges import BridgePath, Direction, check_query, traversal_set
+from .bridges import BridgePath, Direction, _traversal_set, check_query
 from .errors import EmptySpecError, InvalidRightError, TooLargeError
 from .graph import _BIT, _T, RIGHT_ORDER, ProtectionGraph, Right, VertexId, VertexKind
 
@@ -242,12 +244,18 @@ def brute_force_bridge(
 ) -> BridgePath | None:
     """Exhaustive simple-path witness search over the traversal set.
 
-    Recursive depth-first enumeration, shortest lengths first and
-    ascending vertex ids within a length, so the returned witness is the
-    shortest one and, among shortest, the smallest id sequence.  Returns
-    None once a length L finds no witness and no simple path from *s*
-    reaches L arcs at all: a witness of L+1 arcs would need one, its
-    first L arcs.  Past ``len(traversal) - 1`` arcs nothing is simple.
+    Depth-first iterative deepening (Korf, AI 27(1), 1985): shortest
+    lengths first and ascending vertex ids within a length, so the
+    returned witness is the shortest one and, among shortest, the
+    smallest id sequence.  Each length walks one explicit stack of
+    successor iterators, ``stack[i]`` walking those of ``path[i]``, so
+    memory is O(path length) on the heap and no chain is too deep.
+    Returns None once a length L finds no witness and no simple path
+    from *s* reaches L arcs at all: a witness of L+1 arcs would need
+    one, its first L arcs.  Past ``len(traversal) - 1`` arcs nothing is
+    simple.  The walk never meets f short of the length it tries: a
+    shorter simple path to f would have ended the search at its own
+    length.
 
     A vertex's successors are looked up on its first visit and kept for
     the rest of the query, so the graph is asked at most once per
@@ -255,11 +263,9 @@ def brute_force_bridge(
     only part of the traversal set.
     """
     check_query(g, s, f, direction)
-    traversal = traversal_set(g, s, f)
+    traversal = _traversal_set(g, s, f)
     neighbors = g.t_successors if direction is Direction.FORWARD else g.t_predecessors
     memo: dict[VertexId, list[VertexId]] = {}
-    # Whether the current length's enumeration reached its full depth.
-    deep = False
 
     def successors(v: VertexId) -> list[VertexId]:
         ws = memo.get(v)
@@ -267,31 +273,28 @@ def brute_force_bridge(
             ws = memo[v] = [w for w in neighbors(v) if w in traversal]
         return ws
 
-    def extend(path: list[VertexId], on_path: set[VertexId], remaining: int) -> list[VertexId] | None:
-        nonlocal deep
-        v = path[-1]
-        if remaining == 0:
-            deep = True
-            return list(path) if v == f else None
-        if v == f:  # f can only be the final vertex of a simple witness
-            return None
-        for w in successors(v):
-            if w in on_path:
-                continue
-            path.append(w)
-            on_path.add(w)
-            hit = extend(path, on_path, remaining - 1)
-            if hit is not None:
-                return hit
-            path.pop()
-            on_path.discard(w)
-        return None
-
     for length in range(1, len(traversal)):
+        path = [s]
+        on_path = {s}
+        stack = [iter(successors(s))]
+        # Whether some simple path from s reached this length.
         deep = False
-        hit = extend([s], {s}, length)
-        if hit is not None:
-            return BridgePath(tuple(hit), direction)
+        while stack:
+            for w in stack[-1]:
+                if w in on_path:
+                    continue
+                if len(path) == length:
+                    deep = True
+                    if w == f:
+                        return BridgePath((*path, w), direction)
+                else:
+                    path.append(w)
+                    on_path.add(w)
+                    stack.append(iter(successors(w)))
+                    break
+            else:
+                stack.pop()
+                on_path.discard(path.pop())
         if not deep:
             return None
     return None

@@ -31,8 +31,8 @@ from takegrant import (
     parse_graph,
     random_graph,
     serialize_graph,
-    traversal_set,
 )
+from takegrant.bridges import _traversal_set
 
 from helpers import (
     LENGTH2_BRIDGE_TGG,
@@ -66,7 +66,7 @@ def _audit_graph(g: ProtectionGraph, s: int, f: int, stats: SweepStats) -> None:
     """Run every cross-check for one (graph, endpoints) case."""
     stats.trials += 1
     reversed_g = flipped(g)
-    bound = len(traversal_set(g, s, f)) + 1
+    bound = len(_traversal_set(g, s, f)) + 1
     for direction in BOTH:
         fast = bridge_exists(g, s, f, direction)
         slow = bridge_exists_faithful(g, s, f, direction)
@@ -245,7 +245,7 @@ def test_criterion_4_termination_bound(exhaustive_sweep, random_sweep):
     for length in range(2, 65):
         g, s, f, _ = chain_graph(length)
         report = bridge_exists(g, s, f)
-        if report.passes > len(traversal_set(g, s, f)) + 1:
+        if report.passes > len(_traversal_set(g, s, f)) + 1:
             violations += 1
     checked = exhaustive_sweep.trials + random_sweep.trials + 63
     _report_line(4, violations == 0, f"0 violations over {checked} cases" if violations == 0 else f"{violations} violations")
@@ -405,6 +405,19 @@ def test_chain_arcs_examined(n, direction):
     assert fast == slow and fast.exists and fast.passes == n
     assert fast_arcs == n
     assert slow_arcs == n * (n + 1) // 2
+
+
+@pytest.mark.parametrize("direction", BOTH, ids=lambda d: d.value)
+def test_deep_chain_three_way(direction):
+    # 1,500 arcs is past Python's default recursion limit of 1,000: the
+    # oracle must walk the chain without recursing.
+    g, s, f, _ = chain_graph(1500)
+    if direction is Direction.BACKWARD:
+        g = flipped(g)
+    fast = bridge_exists(g, s, f, direction)
+    assert fast == bridge_exists_faithful(g, s, f, direction)
+    assert fast.exists and fast.path.length == 1500
+    assert brute_force_bridge(g, s, f, direction) == fast.path
 
 
 def test_worst_case_miss_arcs_examined():
@@ -573,7 +586,7 @@ def test_oracle_asks_for_successors_once_per_vertex(direction):
             delattr(g, name)
         assert witness == brute_force_bridge(g, 0, 1, direction)
         assert len(calls) == len(set(calls))
-        assert set(calls) <= traversal_set(g, 0, 1)
+        assert set(calls) <= _traversal_set(g, 0, 1)
         past_length_one += witness is None or witness.length > 1
     # Each of these enumerates s's successors once per length tried.
     assert past_length_one >= 50

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 
 from takegrant import (
+    BridgePath,
     Direction,
     Island,
     NotASubjectError,
@@ -27,9 +28,9 @@ from takegrant import (
     parse_graph,
     random_graph,
     serialize_graph,
-    traversal_set,
     validate_path,
 )
+from takegrant.bridges import _traversal_set
 from takegrant.oracle import _t_arc_graphs
 
 from helpers import (
@@ -117,7 +118,7 @@ class TestSemantics:
             [("s", "s"), ("u", "s"), ("f", "s")],
             [("s", "u", "t"), ("u", "f", "t")],
         )
-        assert traversal_set(g, 0, 2) == {0, 2}
+        assert _traversal_set(g, 0, 2) == {0, 2}
         assert not bridge_exists(g, 0, 2).exists
 
     def test_object_endpoints_are_admitted(self):
@@ -376,6 +377,15 @@ class TestErrors:
         with pytest.raises(TypeError, match=f"got {direction!r}"):
             bridges_between_islands(g, islands[1], islands[0], direction)
 
+    @pytest.mark.parametrize("direction", ["forward", None, 1])
+    def test_validate_path_direction_that_is_not_a_direction_rejected(self, direction):
+        # (2, 1, 0) runs against the arcs: read as backward it would pass,
+        # and (0, 1, 2) would fail as a missing t arc.
+        g = figure_graph()
+        for vertices in ((2, 1, 0), (0, 1, 2)):
+            with pytest.raises(TypeError, match=f"got {direction!r}"):
+                validate_path(g, BridgePath(vertices, direction))
+
 
 class TestBetweenIslands:
     def test_figure_islands_have_one_bridge(self):
@@ -530,7 +540,7 @@ class TestBetweenIslands:
 
 
 def _assert_well_formed(g, report, s, f):
-    m = len(traversal_set(g, s, f))
+    m = len(_traversal_set(g, s, f))
     assert report.passes <= m + 1
     assert report.passes == len(report.frontier_trace)
     assert [n for n, _ in report.frontier_trace] == list(range(1, report.passes + 1))

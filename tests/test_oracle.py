@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+import sys
 import tracemalloc
 
 import pytest
@@ -27,7 +28,6 @@ from takegrant import (
     parse_graph,
     random_graph,
     serialize_graph,
-    traversal_set,
     validate_path,
 )
 from takegrant.oracle import _t_arc_graphs
@@ -44,7 +44,7 @@ SWEEP_VERTICES = [
 def uncut_simple_path_witness(g, s, f, direction):
     """The shortest, then smallest, simple s ~> f take path over the
     traversal set, trying every length up to the set's size minus one."""
-    allowed = traversal_set(g, s, f)
+    allowed = set(g.objects()) | {s, f}
     succ = {v: [] for v in allowed}
     for edge in g.edges():
         if Right.T in edge.rights and edge.src in allowed and edge.dst in allowed:
@@ -123,6 +123,46 @@ class TestBruteForce:
             [("s", "u", "t"), ("u", "f", "t")],
         )
         assert brute_force_bridge(g, 0, 2) is None
+
+    def test_miss_on_a_two_way_chain_stays_quadratic(self):
+        # s and n objects in a row, every arc both ways, f cut off: one
+        # simple path per length, but about 2**L walks of L arcs.  A
+        # shortest walk is always simple, so dropping the simplicity test
+        # would change no answer, only the work; the budget on the
+        # oracle's executed lines is what sees it.
+        n = 40
+        order = ["s"] + [f"x{i}" for i in range(n)]
+        g = make_graph(
+            [("s", "s"), ("f", "s")] + [(name, "o") for name in order[1:]],
+            [(a, b, "t") for a, b in zip(order, order[1:])]
+            + [(b, a, "t") for a, b in zip(order, order[1:])],
+        )
+        budget = 50 * n * n
+        lines = 0
+        oracle_file = brute_force_bridge.__code__.co_filename
+
+        class OverBudget(Exception):
+            pass
+
+        def count(frame, event, arg):
+            nonlocal lines
+            lines += 1
+            if lines > budget:
+                raise OverBudget
+            return count
+
+        def calls(frame, event, arg):
+            return count if frame.f_code.co_filename == oracle_file else None
+
+        outer = sys.gettrace()
+        for direction in (Direction.FORWARD, Direction.BACKWARD):
+            lines = 0
+            sys.settrace(calls)
+            try:
+                witness = brute_force_bridge(g, 0, 1, direction)
+            finally:
+                sys.settrace(outer)
+            assert witness is None
 
     def test_depth_cutoff_keeps_every_witness(self):
         # Small dense graphs give hits at every length; the large sparse
