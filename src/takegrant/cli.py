@@ -185,7 +185,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
             witness = brute_force_bridge(g, s, f, direction)
             if fast != slow:
                 pair = "frontier vs faithful"
-            elif fast.exists != (witness is not None):
+            elif (witness and witness.length) != (fast.path and fast.path.length):
+                # Both return a shortest path, so the lengths agree too.
                 pair = "frontier vs brute force"
             else:
                 continue

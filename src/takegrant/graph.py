@@ -35,9 +35,12 @@ internal handle: every external format speaks vertex names.
 
 Each arc is stored once, as a 4-bit rights mask in its source's dict,
 one bit per right in ``RIGHT_ORDER`` (t=1, g=2, r=4, w=8); ``Right``
-values appear only at the API and text-format boundary.  The take arcs,
-which every bridge search walks, are also kept as per-vertex successor
-and predecessor lists, appended to when an arc first gains ``t``.  The
+values appear only at the API and text-format boundary.  Arcs come in
+through two writers: ``add_edge`` one at a time, and ``_insert_row`` a
+run out of one source at a time; ``parse_graph`` hands it each stretch
+of consecutive edge lines with the same source.  The take arcs, which
+every bridge search walks, are also kept as per-vertex successor and
+predecessor lists, appended to when an arc first gains ``t``.  The
 graph's only neighbour queries, ``t_successors`` and ``t_predecessors``,
 return sorted copies of them.
 """
@@ -46,6 +49,7 @@ from __future__ import annotations
 
 import re
 from enum import Enum
+from itertools import compress
 from typing import Iterable
 
 from ._value import Value, set_slot
@@ -105,6 +109,14 @@ _LETTERS = tuple("".join(right.value for right in RIGHT_ORDER if right in rs) fo
 # Rights frozenset -> mask, for the 15 non-empty ones: add_edge maps
 # these objects, the ones edges() hands out, in one lookup.
 _MASK_OF = {rs: mask for mask, rs in enumerate(_RIGHTS) if mask}
+# Mask -> its t bit, as a bytes.translate table over a row of masks.
+_T_FLAG = bytes(mask & _T for mask in range(256))
+
+# _insert_row takes a run of this many arcs or more out of a source with
+# no arcs yet in one dict.update.  Measured on Python 3.11, that path and
+# the per-arc loop cost about the same on 7 to 11 arcs; the loop is
+# cheaper on fewer, the bulk path on more (0.6x the loop's time at 64).
+_BULK_ROW = 8
 
 
 class Edge(Value):
@@ -125,9 +137,10 @@ class ProtectionGraph:
     """Directed rights-labelled graph over named subject/object vertices.
 
     Arcs live in one store, ``_out``: a rights-mask dict per vertex, keyed
-    by the arc's target.  Two methods write arcs, the same way:
-    ``add_edge``, checked, for callers, and ``_insert``, unchecked, for
-    ``parse_graph`` and the generators.  The only index over the store
+    by the arc's target.  Two methods write arcs, to the same effect:
+    ``add_edge``, checked, one arc per call, for callers, and
+    ``_insert_row``, unchecked, a run of arcs out of one source per call,
+    for ``parse_graph`` and the generators.  The only index over the store
     is the t-lists, the per-vertex t-successor and t-predecessor lists,
     kept up to date by ``add_vertex`` and both arc writers, so a query
     never writes to the graph: a fully built graph may be shared across
@@ -220,7 +233,7 @@ class ProtectionGraph:
                 mask |= _LETTER_BIT[right._value_]
             if not mask:
                 raise EmptyRightsError(f"arc {self._names[src]} -> {self._names[dst]} has no rights")
-        # The same write as _insert, without its second call; keep the two alike.
+        # The same write as _insert_row's, per arc; keep the two alike.
         out = self._out[src]
         old = out.get(dst, 0)
         merged = out[dst] = old | mask
@@ -234,25 +247,53 @@ class ProtectionGraph:
                 self._t_entered_objects += 1
             pred.append(src)
 
-    def _insert(self, src: VertexId, dst: VertexId, mask: int) -> None:
-        """Union *mask* into the arc src -> dst; ids already checked.
+    def _insert_row(self, src: VertexId, dsts: Iterable[VertexId], masks: bytes) -> None:
+        """Union ``masks[i]`` into the arc src -> d, for the i-th target d
+        that *dsts* yields, in order; ids already checked.
 
-        The unchecked entry for ``parse_graph`` and the oracle's
-        generators.
+        The unchecked writer for ``parse_graph`` and the oracle's
+        generators, called once per run of arcs out of one source.  A run
+        of at least ``_BULK_ROW`` arcs out of a source with none yet goes
+        into ``_out`` in one ``dict.update`` and has its t arcs picked out
+        in C; any other run, and one that repeats a target, is unioned arc
+        by arc.  Either way the graph ends up as ``add_edge`` called on
+        each arc in order leaves it.
         """
-        # The same write as add_edge's; keep the two alike.
         out = self._out[src]
-        old = out.get(dst, 0)
-        merged = out[dst] = old | mask
-        if (merged ^ old) & _T:
-            succ = self._t_succ[src]
-            if not succ and self._subject_id[src] is None:
-                self._t_left_objects += 1
-            succ.append(dst)
-            pred = self._t_pred[dst]
-            if not pred and self._subject_id[dst] is None:
-                self._t_entered_objects += 1
-            pred.append(src)
+        subject_id = self._subject_id
+        t_pred = self._t_pred
+        succ = self._t_succ[src]
+        if not out and len(masks) >= _BULK_ROW:
+            dsts = list(dsts)  # read again below
+            out.update(zip(dsts, masks))
+            if len(out) == len(dsts):
+                fresh = list(compress(dsts, masks.translate(_T_FLAG)))
+                if fresh:
+                    # No arcs out of src yet, so no t-successors either.
+                    if subject_id[src] is None:
+                        self._t_left_objects += 1
+                    succ += fresh
+                    entered = 0
+                    for dst in fresh:
+                        pred = t_pred[dst]
+                        if not pred and subject_id[dst] is None:
+                            entered += 1
+                        pred.append(src)
+                    self._t_entered_objects += entered
+                return
+            # A repeated target kept its last mask, not the union.
+            out.clear()
+        for dst, mask in zip(dsts, masks):
+            old = out.get(dst, 0)
+            merged = out[dst] = old | mask
+            if (merged ^ old) & _T:
+                if not succ and subject_id[src] is None:
+                    self._t_left_objects += 1
+                succ.append(dst)
+                pred = t_pred[dst]
+                if not pred and subject_id[dst] is None:
+                    self._t_entered_objects += 1
+                pred.append(src)
 
     # ---- vertex queries ----------------------------------------------
 
@@ -364,7 +405,12 @@ def parse_graph(text: str) -> ProtectionGraph:
         raise ParseError(1, f"expected header {TGG_HEADER!r}")
     g = ProtectionGraph()
     ids = g._ids
-    insert = g._insert
+    write = g._insert_row
+    # Consecutive edge lines out of one source, written as one row when
+    # the source changes or the text ends.
+    row_src = None
+    row_dsts: list[VertexId] = []
+    row_masks = bytearray()
     # Mask of each rights word seen so far in this text.  A word with a
     # bad letter raises before it is stored, so it fails on every line.
     masks: dict[str, int] = {}
@@ -388,7 +434,14 @@ def parse_graph(text: str) -> ProtectionGraph:
                         raise ParseError(lineno, f"bad right letter {ch!r}")
                     mask |= bit
                 masks[rights_word] = mask
-            insert(src, dst, mask)
+            if src != row_src:
+                if row_dsts:
+                    write(row_src, row_dsts, row_masks)
+                    row_dsts = []
+                    row_masks = bytearray()
+                row_src = src
+            row_dsts.append(dst)
+            row_masks.append(mask)
             continue
         if not tokens or tokens[0].startswith("#"):
             continue
@@ -406,6 +459,8 @@ def parse_graph(text: str) -> ProtectionGraph:
             g.add_vertex(name, _SUBJECT if keyword == "subject" else _OBJECT)
         else:
             raise ParseError(lineno, f"unknown keyword {keyword!r}")
+    if row_dsts:
+        write(row_src, row_dsts, row_masks)
     return g
 
 

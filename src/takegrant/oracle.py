@@ -10,14 +10,15 @@ memory and has no recursion limit.
 vertex set, and ``random_graph`` draws reproducible graphs from a
 seeded SplitMix64 stream.
 
-Both hand their arcs to the graph as rights masks, skipping
-``add_edge``'s checks on ids and rights they made themselves.
+Both hand their arcs to the graph as rights masks, one source's row
+per call, skipping ``add_edge``'s checks on ids and rights they made
+themselves.
 ``random_graph`` runs SplitMix64 on up to 1,024 draws at once, one per
 128-bit lane of a Python int, and reads each draw's decision, exactly
 the one ``next_unit() < p`` would make, from one bit of its lane.  It
 decodes those decisions one source vertex's row at a time, with bytes
-and ``itertools`` operations, so Python steps once per row and per arc
-inserted, never per draw.
+and ``itertools`` operations, so Python steps once per row, and per
+arc only inside the graph's row writer, never per draw.
 """
 
 from __future__ import annotations
@@ -135,8 +136,8 @@ def random_graph(spec: RandomGraphSpec) -> ProtectionGraph:
     Decisions queue in a buffer until they fill a source's whole row of
     ``(total - 1) * width`` draws, so it never holds more than one row
     plus one block.  A row folds into one rights-mask byte per pair;
-    ``compress`` picks the pairs whose mask is not zero, and each goes
-    in as one ``_insert``, in draw order.
+    ``compress`` picks the pairs whose mask is not zero, and the row
+    goes in as one ``_insert_row`` call, in draw order.
     A pool item that is not a ``Right`` raises ``InvalidRightError``; an
     empty pool gives no arcs.
     """
@@ -163,7 +164,7 @@ def random_graph(spec: RandomGraphSpec) -> ProtectionGraph:
     limit = math.ceil(spec.arc_probability * 2.0**53) << 11
     # One int object per vertex id, shared by every arc that names it.
     ids = list(range(total))
-    insert = g._insert
+    write = g._insert_row
     row = (total - 1) * width
     # Decisions drawn but not yet decoded: less than one row, plus a block.
     pending = bytearray()
@@ -196,9 +197,7 @@ def random_graph(spec: RandomGraphSpec) -> ProtectionGraph:
             hits = drawn.translate(None, b"\0")
             if hits:
                 # No draw is made for src -> src: a zero there lines drawn up with ids.
-                targets = compress(ids, drawn[:src] + b"\0" + drawn[src:])
-                for dst, mask in zip(targets, hits):
-                    insert(ids[src], dst, mask)
+                write(ids[src], compress(ids, drawn[:src] + b"\0" + drawn[src:]), hits)
             src += 1
     return g
 
@@ -224,15 +223,29 @@ def _t_arc_graphs(
     """Graphs number *start* to *stop* - 1 of ``enumerate_t_arc_graphs``,
     so a sweep can be split without building the graphs it skips."""
     n = len(vertices)
-    pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
     template = ProtectionGraph()
     for name, kind in vertices:
         template.add_vertex(name, kind)
+    # Pair bits come source by source, so source a's row is the n - 1
+    # bits from a * (n - 1) on.  rows[a] holds a, that shift, and the
+    # row's targets and masks for each value r its bits can read.  With
+    # no vertices there are no rows, and the width must not go negative.
+    width = max(n - 1, 0)
+    full = (1 << width) - 1
+    rows = []
+    for a in range(n):
+        others = [b for b in range(n) if b != a]
+        rows.append((a, a * width, [
+            ([b for j, b in enumerate(others) if r >> j & 1], bytes([_T]) * r.bit_count())
+            for r in range(full + 1)
+        ]))
     for code in range(start, stop):
         g = template._without_arcs()
-        for bit, (a, b) in enumerate(pairs):
-            if code >> bit & 1:
-                g._insert(a, b, _T)
+        write = g._insert_row
+        for a, shift, row in rows:
+            dsts, masks = row[code >> shift & full]
+            if dsts:
+                write(a, dsts, masks)
         yield g
 
 

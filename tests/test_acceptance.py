@@ -75,7 +75,8 @@ def _audit_graph(g: ProtectionGraph, s: int, f: int, stats: SweepStats) -> None:
             stats.faithful_mismatches += 1
         if fast.passes > bound or slow.passes > bound:
             stats.bound_violations += 1
-        agrees = fast.exists == (witness is not None)
+        # Both return a shortest path: the same length, or both none.
+        agrees = (witness and witness.length) == (fast.path and fast.path.length)
         if direction is Direction.FORWARD:
             stats.forward_agree += agrees
         else:

@@ -618,7 +618,9 @@ def _sweep_shard(bounds: tuple[int, int]) -> int:
     for g in _t_arc_graphs(SWEEP_VERTICES, start, stop):
         for direction in BOTH:
             witness = brute_force_bridge(g, 0, 1, direction)
-            assert bridge_exists(g, 0, 1, direction).exists == (witness is not None), (
+            found = bridge_exists(g, 0, 1, direction).path
+            # Both return a shortest path: the same length, or both none.
+            assert (witness and witness.length) == (found and found.length), (
                 serialize_graph(g),
                 direction,
             )

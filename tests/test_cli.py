@@ -554,6 +554,25 @@ class TestCheckCommand:
         assert replayed == calls[5]
         assert replayed == random_graph(RandomGraphSpec(3, 2, 0.25, frozenset(Right), 42))
 
+    def test_wrong_length_witness_is_caught(self, capsys, monkeypatch):
+        # An oracle whose witnesses exist exactly when they should, each
+        # one arc too long: only comparing lengths can catch it.
+        real = oracle.brute_force_bridge
+        missing = []  # per call, whether the oracle found no witness
+
+        def one_arc_long(g, s, f, direction):
+            witness = real(g, s, f, direction)
+            missing.append(witness is None)
+            return witness and BridgePath((s, *witness.vertices), direction)
+
+        monkeypatch.setattr(oracle, "brute_force_bridge", one_arc_long)
+        assert cli.main(["check", "--trials", "6", "--seed", "3"]) == 3
+        captured = capsys.readouterr()
+        agree = sum(missing[i] and missing[i + 1] for i in range(0, len(missing), 2))
+        assert 0 < agree < 6  # the seed gives trials with and without bridges
+        assert captured.out == f"{agree}/6 agree\n"
+        assert ", frontier vs brute force; replay: " in captured.err
+
     def test_faithful_disagreement_names_that_pair(self, capsys, monkeypatch):
         real = cli.bridge_exists_faithful
 

@@ -32,6 +32,7 @@ from takegrant import (
     serialize_graph,
     validate_path,
 )
+from takegrant.graph import _BULK_ROW
 
 from helpers import LENGTH2_BRIDGE_TGG, flipped, graphs, make_graph, tgg_documents
 
@@ -237,9 +238,9 @@ def _letters(rights) -> str:
 class TestAddEdgeContainers:
     """``add_edge`` maps the frozensets ``edges()`` hands out to their
     masks in one lookup and reads every other iterable item by item, and
-    it writes its arc itself rather than through ``_insert``; every form
-    of every rights subset must leave the graph ``parse_graph`` builds
-    through ``_insert``."""
+    it writes its arc itself rather than through ``_insert_row``; every
+    form of every rights subset must leave the graph ``parse_graph``
+    builds through ``_insert_row``."""
 
     TEXT = (
         "tgg 1\nsubject s\nobject x\nobject y\nsubject u\n"
@@ -268,6 +269,93 @@ class TestAddEdgeContainers:
             assert g.rights_between(src, dst) == (rights | {Right.G} if (src, dst) == (2, 1) else rights)
         g.add_edge(0, 1, make())  # a repeat changes nothing
         assert vars(g) == vars(want)
+
+
+def _built_by_add_edge(text: str) -> ProtectionGraph:
+    """The graph ``add_edge`` builds from *text*'s statements, in line order."""
+    g = ProtectionGraph()
+    for line in text.splitlines()[1:]:
+        tokens = line.split()
+        if not tokens or tokens[0].startswith("#"):
+            continue
+        if tokens[0] == "edge":
+            g.add_edge(g.vertex_id(tokens[1]), g.vertex_id(tokens[2]), [Right(ch) for ch in tokens[3]])
+        else:
+            g.add_vertex(tokens[1], VertexKind(tokens[0]))
+    return g
+
+
+def _row_text(length: int, repeat: bool = False) -> str:
+    """A run of *length* edge lines out of a fresh subject s, to objects
+    in descending id order with rights cycling through every mask; with
+    *repeat*, the run ends by giving o1, whose first word is g, t."""
+    words = [_letters(rights) for rights in RIGHT_SUBSETS]
+    lines = ["tgg 1", "subject s", *(f"object o{i}" for i in range(length)), "subject u"]
+    lines.append("edge u o0 t")  # o0 is entered already
+    lines += [f"edge s o{i} {words[i % len(words)]}" for i in reversed(range(length))]
+    if repeat:
+        lines.append("edge s o1 t")
+    return "\n".join(lines) + "\n"
+
+
+class TestRowWriter:
+    """``parse_graph`` hands each run of edge lines out of one source to
+    ``_insert_row`` in one call.  Whatever path the writer takes, the
+    graph must equal the one ``add_edge`` builds line by line: the arc
+    store, the t-lists in the order t first reached each pair, and the
+    two object counters."""
+
+    SPLIT = (
+        "tgg 1\nsubject s\nobject a\nobject b\nobject c\n"
+        "edge s c g\nedge s a t\n"
+        "edge a s t\n"  # s's edges split by another source's
+        "object d\n# s again\n"
+        "edge s d t\nedge s c t\nedge s a r\n"
+    )
+    REPEAT_IN_RUN = "tgg 1\nsubject s\nobject a\nobject b\nedge s a g\nedge s b t\nedge s a t\n"
+
+    def test_source_split_across_the_file(self):
+        g = parse_graph(self.SPLIT)
+        assert vars(g) == vars(_built_by_add_edge(self.SPLIT))
+        assert g._t_succ[0] == [1, 4, 3]
+        assert g.rights_between(0, 1) == {Right.T, Right.R}
+
+    def test_t_arriving_on_a_repeat_inside_one_run(self):
+        g = parse_graph(self.REPEAT_IN_RUN)
+        assert vars(g) == vars(_built_by_add_edge(self.REPEAT_IN_RUN))
+        assert g._t_succ[0] == [2, 1]  # a gains t after b
+        assert g.rights_between(0, 1) == {Right.T, Right.G}
+        assert (g._t_left_objects, g._t_entered_objects) == (0, 2)
+
+    @pytest.mark.parametrize("repeat", [False, True], ids=["distinct", "repeat"])
+    @pytest.mark.parametrize("offset", [-1, 0, 1], ids=["below", "at", "above"])
+    def test_rows_around_the_bulk_cutoff(self, offset, repeat):
+        text = _row_text(_BULK_ROW + offset, repeat)
+        g = parse_graph(text)
+        want = _built_by_add_edge(text)
+        assert vars(g) == vars(want)
+        assert g.edge_count == _BULK_ROW + offset + 1
+        assert g._t_succ[0] == want._t_succ[0] != sorted(want._t_succ[0])
+
+    @pytest.mark.parametrize("repeat", [False, True], ids=["distinct", "repeat"])
+    def test_targets_may_come_from_an_iterator(self, repeat):
+        # random_graph hands its targets over as a compress iterator.  With
+        # repeat, the run ends by giving its second target, a g arc, t.
+        n = _BULK_ROW + 1
+        dsts = [*range(n, 0, -1), *([n - 1] if repeat else [])]
+        masks = bytes(1 + i % 15 for i in range(n)) + (b"\x01" if repeat else b"")
+        vertices = [("s", "s"), *((f"o{i}", "o") for i in range(n))]
+        g, want = make_graph(vertices), make_graph(vertices)
+        g._insert_row(0, iter(dsts), masks)
+        for dst, mask in zip(dsts, masks):
+            want.add_edge(0, dst, [right for i, right in enumerate(RIGHT_ORDER) if mask >> i & 1])
+        assert vars(g) == vars(want)
+
+    def test_a_run_of_only_non_t_arcs(self):
+        text = "tgg 1\nobject s\nobject a\n" + "edge s a g\n" * (_BULK_ROW + 1)
+        g = parse_graph(text)
+        assert vars(g) == vars(_built_by_add_edge(text))
+        assert g._t_succ[0] == [] and g._t_left_objects == 0
 
 
 class TestAdjacency:

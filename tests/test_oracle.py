@@ -202,6 +202,11 @@ class TestEnumeration:
     def test_three_vertices_count(self):
         assert sum(1 for _ in enumerate_t_arc_graphs(SWEEP_VERTICES)) == 64
 
+    def test_no_pairs_give_one_graph_without_arcs(self):
+        assert [vars(g) for g in enumerate_t_arc_graphs([])] == [vars(ProtectionGraph())]
+        (g,) = enumerate_t_arc_graphs(SWEEP_VERTICES[:1])
+        assert (g.vertex_count, g.edge_count) == (1, 0)
+
     def test_refuses_too_many_vertices(self):
         six = [(f"v{i}", VertexKind.OBJECT) for i in range(6)]
         with pytest.raises(TooLargeError):
@@ -251,7 +256,8 @@ class TestEnumeration:
         for g in enumerate_t_arc_graphs(SWEEP_VERTICES):
             for direction in (Direction.FORWARD, Direction.BACKWARD):
                 witness = brute_force_bridge(g, 0, 1, direction)
-                assert bridge_exists(g, 0, 1, direction).exists == (witness is not None)
+                found = bridge_exists(g, 0, 1, direction).path
+                assert (witness and witness.length) == (found and found.length)
 
 
 class TestRandomGraph:
