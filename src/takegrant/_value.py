@@ -10,18 +10,19 @@ from __future__ import annotations
 
 from operator import attrgetter
 
-# Fills one slot from a subclass ``__init__``, past the raising __setattr__.
-set_slot = object.__setattr__
-
 
 class Value:
     """Immutable record whose fields are its ``__slots__``, in order.
 
-    A subclass lists at least two fields in ``__slots__`` and fills each
-    in an explicit ``__init__`` with ``set_slot``.  Equality, hash and
+    A subclass lists at least two fields in ``__slots__`` and fills them
+    in an explicit ``__init__`` through ``_setters``: the ``__set__`` of
+    each field's slot descriptor, in field order, bound once per class.
+    Calling one stores straight into the slot, past the raising
+    ``__setattr__`` and without a lookup by name.  Equality, hash and
     repr are those of a frozen dataclass; assigning or deleting any
     attribute raises ``AttributeError``; copy and pickle go through the
-    constructor.
+    constructor.  A record is no tuple: it cannot be iterated or
+    indexed, and it never equals a tuple of its fields.
     """
 
     __slots__ = ()
@@ -31,6 +32,7 @@ class Value:
         cls.__match_args__ = cls.__slots__
         # With two or more names, attrgetter returns the field tuple.
         cls._fields = attrgetter(*cls.__slots__)
+        cls._setters = tuple(vars(cls)[name].__set__ for name in cls.__slots__)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:

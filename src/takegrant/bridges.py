@@ -14,7 +14,7 @@ for real queries.  ``bridge_exists_faithful`` re-scans every arc
 incident to the whole reached set on every pass -- deliberately wasteful
 (cubic in the vertex count) but a more literal rendering of the same
 pass structure, kept so the two can be checked against each other.  It
-reads only the graph's rights masks (a flipped copy of them for
+reads only the graph's rights masks (its take arcs, flipped, for
 ``t<-*``), never the t-lists the frontier engine walks, so a
 drift between the two stores shows up as a disagreement.  They must return
 identical reports on every input; the test suite enforces this
@@ -63,7 +63,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import Any, Sequence
 
-from ._value import Value, set_slot
+from ._value import Value
 from .errors import InvariantViolationError, NotASubjectError, SameIslandError, SameVertexError
 from .graph import _OBJECT, _T, ProtectionGraph, Right, VertexId
 from .islands import Island
@@ -89,8 +89,9 @@ class BridgePath(Value):
     direction: Direction
 
     def __init__(self, vertices: tuple[VertexId, ...], direction: Direction) -> None:
-        set_slot(self, "vertices", vertices)
-        set_slot(self, "direction", direction)
+        set_vertices, set_direction = self._setters
+        set_vertices(self, vertices)
+        set_direction(self, direction)
 
     @property
     def length(self) -> int:
@@ -121,19 +122,17 @@ class SearchReport(Value):
         passes: int,
         frontier_trace: tuple[tuple[int, tuple[VertexId, ...]], ...],
     ) -> None:
-        set_slot(self, "exists", exists)
-        set_slot(self, "direction", direction)
-        set_slot(self, "path", path)
-        set_slot(self, "passes", passes)
-        set_slot(self, "frontier_trace", frontier_trace)
+        set_exists, set_direction, set_path, set_passes, set_frontier_trace = self._setters
+        set_exists(self, exists)
+        set_direction(self, direction)
+        set_path(self, path)
+        set_passes(self, passes)
+        set_frontier_trace(self, frontier_trace)
 
 
 def _traversal_set(g: ProtectionGraph, s: VertexId, f: VertexId) -> set[VertexId]:
     """Vertices a bridge may touch: both endpoints plus every object."""
-    verts = set(g.objects())
-    verts.add(s)
-    verts.add(f)
-    return verts
+    return {v for v, sid in enumerate(g._subject_id) if sid is None or v == s or v == f}
 
 
 def _check_direction(direction: Direction) -> None:
@@ -296,11 +295,11 @@ def bridge_exists_faithful(
     Every pass walks every arc leaving every vertex reached at pass
     start and picks out the t-labelled ones whose far endpoint is still
     unreached.  It reads only the graph's rights masks, never the
-    t-lists: a ``t<-*`` walk on *g* is a ``t->*`` walk on a copy of its
-    masks with every arc flipped, vertex for vertex, so one loop serves
-    both directions.  Vertices are scanned in ascending id order; one
-    vertex's arcs are scanned in store order, since each of them claims
-    through that vertex.  Worst case: vertex-count passes, each
+    t-lists: a ``t<-*`` walk on *g* is a ``t->*`` walk on a store of its
+    take arcs, each flipped and carrying ``t`` alone, built from the
+    masks, so one loop serves both directions.  Vertices are scanned in
+    ascending id order; one vertex's arcs are scanned in store order,
+    since each of them claims through that vertex.  Worst case: vertex-count passes, each
     reviewing every arc of an almost fully reached graph.
     """
     check_query(g, s, f, direction)

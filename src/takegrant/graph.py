@@ -52,7 +52,7 @@ from enum import Enum
 from itertools import compress
 from typing import Iterable
 
-from ._value import Value, set_slot
+from ._value import Value
 from .errors import (
     DuplicateNameError,
     EmptyRightsError,
@@ -128,9 +128,10 @@ class Edge(Value):
     rights: frozenset[Right]
 
     def __init__(self, src: VertexId, dst: VertexId, rights: frozenset[Right]) -> None:
-        set_slot(self, "src", src)
-        set_slot(self, "dst", dst)
-        set_slot(self, "rights", rights)
+        set_src, set_dst, set_rights = self._setters
+        set_src(self, src)
+        set_dst(self, dst)
+        set_rights(self, rights)
 
 
 class ProtectionGraph:
@@ -154,9 +155,10 @@ class ProtectionGraph:
     Inside the package, the frontier engine reads the t-lists, their
     object counters and ``_subject_id`` directly, the brute-force oracle
     reads the t-lists through ``t_successors``/``t_predecessors``, the
-    faithful engine re-scans ``_out`` (``_reversed_out()`` for backward
-    walks), and the islands code reads ``_out`` and ``_subject_id``;
-    nothing outside the package should.
+    faithful engine re-scans ``_out`` (for backward walks, the flipped
+    take arcs ``_reversed_out()`` builds from it), both of them take
+    the traversal set from ``_subject_id``, and the islands code reads
+    ``_out`` and ``_subject_id``; nothing outside the package should.
     """
 
     def __init__(self) -> None:
@@ -353,11 +355,17 @@ class ProtectionGraph:
         ]
 
     def _reversed_out(self) -> list[dict[VertexId, int]]:
-        """A new arc store holding every arc of this one flipped, masks kept."""
+        """A new arc store holding every take arc of this one flipped, as ``_T``.
+
+        Rights other than t are dropped, and so is an arc without t: a
+        backward walk follows take arcs alone.  It reads the masks, never
+        the t-lists.
+        """
         out: list[dict[VertexId, int]] = [{} for _ in self._out]
         for src, adj in enumerate(self._out):
             for dst, mask in adj.items():
-                out[dst][src] = mask
+                if mask & _T:
+                    out[dst][src] = _T
         return out
 
     def _without_arcs(self) -> ProtectionGraph:

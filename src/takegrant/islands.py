@@ -8,7 +8,7 @@ business of bridge search, not of island membership.
 
 from __future__ import annotations
 
-from ._value import Value, set_slot
+from ._value import Value
 from .errors import NotASubjectError
 from .graph import _SUBJECT, _TG, ProtectionGraph, VertexId
 
@@ -21,8 +21,9 @@ class Island(Value):
     members: tuple[VertexId, ...]
 
     def __init__(self, index: int, members: tuple[VertexId, ...]) -> None:
-        set_slot(self, "index", index)
-        set_slot(self, "members", members)
+        set_index, set_members = self._setters
+        set_index(self, index)
+        set_members(self, members)
 
 
 def _root(parent: list[VertexId], v: VertexId) -> VertexId:

@@ -1,9 +1,10 @@
 """Ground truth and corpus generation for exercising the search engines.
 
 ``brute_force_bridge`` answers bridge queries by iterative deepening
-over simple paths, shortest first, stopping at the first length that no
-simple path reaches -- a deliberately different strategy from the
-worklist engines, so a bug in one is unlikely to hide in the other.  It
+over simple paths, shortest first -- a deliberately different strategy
+from the worklist engines, so a bug in one is unlikely to hide in the
+other.  A flood fill settles existence first, so only a hit is ever
+enumerated, and a miss costs one pass over what the start reaches.  It
 walks an explicit stack, not Python's call stack, so it needs O(depth)
 memory and has no recursion limit.
 ``enumerate_t_arc_graphs`` walks every t-arc pattern over a small fixed
@@ -25,10 +26,10 @@ from __future__ import annotations
 
 import functools
 import math
-from itertools import compress
+from itertools import compress, count
 from typing import Iterator, Sequence
 
-from ._value import Value, set_slot
+from ._value import Value
 from .bridges import BridgePath, Direction, _traversal_set, check_query
 from .errors import EmptySpecError, InvalidRightError, TooLargeError
 from .graph import _BIT, _T, RIGHT_ORDER, ProtectionGraph, Right, VertexId, VertexKind
@@ -66,11 +67,12 @@ class RandomGraphSpec(Value):
         rights_pool: frozenset[Right] = frozenset({Right.T}),
         seed: int = 0,
     ) -> None:
-        set_slot(self, "n_subjects", n_subjects)
-        set_slot(self, "n_objects", n_objects)
-        set_slot(self, "arc_probability", arc_probability)
-        set_slot(self, "rights_pool", rights_pool)
-        set_slot(self, "seed", seed)
+        set_n_subjects, set_n_objects, set_probability, set_pool, set_seed = self._setters
+        set_n_subjects(self, n_subjects)
+        set_n_objects(self, n_objects)
+        set_probability(self, arc_probability)
+        set_pool(self, rights_pool)
+        set_seed(self, seed)
 
 
 class SplitMix64:
@@ -263,17 +265,20 @@ def brute_force_bridge(
     smallest id sequence.  Each length walks one explicit stack of
     successor iterators, ``stack[i]`` walking those of ``path[i]``, so
     memory is O(path length) on the heap and no chain is too deep.
-    Returns None once a length L finds no witness and no simple path
-    from *s* reaches L arcs at all: a witness of L+1 arcs would need
-    one, its first L arcs.  Past ``len(traversal) - 1`` arcs nothing is
-    simple.  The walk never meets f short of the length it tries: a
-    shorter simple path to f would have ended the search at its own
-    length.
+
+    Length 1 is one membership test.  Past it, one flood fill from *s*
+    decides existence first: every walk to f contains a simple path to
+    f, so if the fill never meets f there is no bridge, and a miss costs
+    O(arcs) instead of every simple path from *s*.  Deepening runs only
+    when a witness exists, and then ends at the first length that holds
+    one, at most ``len(traversal) - 1``.  The walk never meets f short
+    of the length it tries: a shorter simple path to f would have ended
+    the search at its own length.
 
     A vertex's successors are looked up on its first visit and kept for
     the rest of the query, so the graph is asked at most once per
-    traversal-set vertex.  The memo fills lazily: most queries visit
-    only part of the traversal set.
+    traversal-set vertex; the fill and the walk share them.  The memo
+    fills lazily: a hit at length 1 asks only about *s*.
     """
     check_query(g, s, f, direction)
     traversal = _traversal_set(g, s, f)
@@ -286,18 +291,26 @@ def brute_force_bridge(
             ws = memo[v] = [w for w in neighbors(v) if w in traversal]
         return ws
 
-    for length in range(1, len(traversal)):
+    if f in successors(s):
+        return BridgePath((s, f), direction)
+    seen = {s}
+    todo = [s]
+    while f not in seen:
+        if not todo:
+            return None
+        for w in successors(todo.pop()):
+            if w not in seen:
+                seen.add(w)
+                todo.append(w)
+    for length in count(2):
         path = [s]
         on_path = {s}
         stack = [iter(successors(s))]
-        # Whether some simple path from s reached this length.
-        deep = False
         while stack:
             for w in stack[-1]:
                 if w in on_path:
                     continue
                 if len(path) == length:
-                    deep = True
                     if w == f:
                         return BridgePath((*path, w), direction)
                 else:
@@ -308,6 +321,3 @@ def brute_force_bridge(
             else:
                 stack.pop()
                 on_path.discard(path.pop())
-        if not deep:
-            return None
-    return None

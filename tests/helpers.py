@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from hypothesis import strategies as st
 
-from takegrant import ProtectionGraph, Right, VertexId, VertexKind
+from takegrant import Direction, ProtectionGraph, Right, VertexId, VertexKind
 
 # The canonical length-2 bridge: two one-subject islands joined through
 # one object, used all over the suite.
@@ -78,6 +78,53 @@ def t_only_projection(g: ProtectionGraph) -> ProtectionGraph:
         if Right.T in edge.rights:
             clone.add_edge(edge.src, edge.dst, {Right.T})
     return clone
+
+
+def smallest_shortest_witnesses(
+    g: ProtectionGraph, s: VertexId, f: VertexId
+) -> dict[Direction, tuple[VertexId, ...] | None]:
+    """The witnesses ``brute_force_bridge`` must return, found another way.
+
+    For each direction: breadth-first distances to *f* over the
+    traversal set (both endpoints and every object), read off
+    ``edges()``, then a greedy walk from *s* that always steps to the
+    smallest successor one step nearer *f*.  That is the smallest id
+    sequence among the shortest take paths; None when there is none.
+    """
+    allowed = set(g.objects()) | {s, f}
+    succ: dict[VertexId, list[VertexId]] = {v: [] for v in allowed}
+    pred: dict[VertexId, list[VertexId]] = {v: [] for v in allowed}
+    for edge in g.edges():
+        if edge.src in allowed and edge.dst in allowed and Right.T in edge.rights:
+            succ[edge.src].append(edge.dst)
+            pred[edge.dst].append(edge.src)
+    # A backward walk steps along the predecessors.
+    return {
+        Direction.FORWARD: _greedy_shortest(succ, pred, s, f),
+        Direction.BACKWARD: _greedy_shortest(pred, succ, s, f),
+    }
+
+
+def _greedy_shortest(succ, pred, s, f):
+    """The smallest shortest s ~> f path over *succ*, or None; *pred* is
+    *succ* with every arc reversed."""
+    dist = {f: 0}
+    layer = [f]
+    while layer:
+        nearer = layer
+        layer = []
+        for v in nearer:
+            for u in pred[v]:
+                if u not in dist:
+                    dist[u] = dist[v] + 1
+                    layer.append(u)
+    if s not in dist:
+        return None
+    path = [s]
+    while path[-1] != f:
+        v = path[-1]
+        path.append(min(w for w in succ[v] if dist.get(w) == dist[v] - 1))
+    return tuple(path)
 
 
 def naive_island_partition(g: ProtectionGraph) -> list[tuple[VertexId, ...]]:

@@ -34,7 +34,7 @@ from takegrant import (
 )
 from takegrant.graph import _BULK_ROW
 
-from helpers import LENGTH2_BRIDGE_TGG, flipped, graphs, make_graph, tgg_documents
+from helpers import LENGTH2_BRIDGE_TGG, flipped, graphs, make_graph, t_only_projection, tgg_documents
 
 
 def figure_graph():
@@ -490,7 +490,7 @@ class TestTIndex:
 
 class TestReverse:
     """The one arc flip left in the package: ``_reversed_out()``, the
-    store of flipped masks the faithful engine walks for ``t<-*``."""
+    store of flipped take arcs the faithful engine walks for ``t<-*``."""
 
     def test_reverse_of_empty(self):
         assert new_graph()._reversed_out() == []
@@ -503,8 +503,9 @@ class TestReverse:
 
     @given(graphs())
     def test_reverse_matches_graph_built_from_flipped_edges(self, g):
-        # Every rights bit of every arc, flipped the way add_edge flips it.
-        assert g._reversed_out() == flipped(g)._out
+        # Every take arc, flipped the way add_edge flips it, carrying t
+        # alone; an arc without t is not there at all.
+        assert g._reversed_out() == t_only_projection(flipped(g))._out
 
 
 class TestParse:

@@ -2,14 +2,18 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 import random
+import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import takegrant
 from takegrant import (
     RIGHT_ORDER,
     Direction,
@@ -33,6 +37,8 @@ from takegrant import (
 from takegrant.oracle import _t_arc_graphs
 
 from helpers import LENGTH2_BRIDGE_TGG, make_graph
+
+SRC = str(Path(takegrant.__file__).resolve().parents[1])
 
 SWEEP_VERTICES = [
     ("s", VertexKind.SUBJECT),
@@ -163,6 +169,31 @@ class TestBruteForce:
             finally:
                 sys.settrace(outer)
             assert witness is None
+
+    def test_miss_past_a_complete_digraph_settles_at_once(self):
+        # s feeds, and is fed by, 12 objects joined both ways by take arcs,
+        # and nothing reaches f.  Enumerating the simple paths from s would
+        # run for about an hour (8 objects take 0.4 s, and each one more
+        # about nine times as long); a flood fill settles the miss at once.
+        # A child process turns a regression into a timeout, not a hang.
+        child = (
+            "from takegrant import Direction, ProtectionGraph, Right, VertexKind, brute_force_bridge\n"
+            "g = ProtectionGraph()\n"
+            "s = g.add_vertex('s', VertexKind.SUBJECT)\n"
+            "f = g.add_vertex('f', VertexKind.SUBJECT)\n"
+            "ring = [s] + [g.add_vertex(f'o{i}', VertexKind.OBJECT) for i in range(12)]\n"
+            "for a in ring:\n"
+            "    for b in ring:\n"
+            "        if a != b:\n"
+            "            g.add_edge(a, b, {Right.T})\n"
+            "print([brute_force_bridge(g, s, f, d) for d in Direction])\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", child],
+            env={**os.environ, "PYTHONPATH": SRC},
+            capture_output=True, text=True, timeout=60,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[None, None]\n", "")
 
     def test_depth_cutoff_keeps_every_witness(self):
         # Small dense graphs give hits at every length; the large sparse

@@ -126,6 +126,28 @@ def test_assignment_and_deletion_raise(case):
     assert value == cls(*args)
 
 
+def test_records_are_not_tuples(case):
+    cls, args, _, _ = case
+    value = cls(*args)
+    assert not isinstance(value, tuple)
+    with pytest.raises(TypeError):
+        iter(value)
+    with pytest.raises(TypeError):
+        value[0]
+    fields = tuple(getattr(value, name) for name in MATCH_ARGS[cls])
+    assert value != fields and not value == fields
+    assert fields != value
+
+
+def test_slot_setters_are_not_fields(case):
+    # Each class binds its slots' __set__ once, under a name that is no
+    # field: it stays out of the slots, the match args and the repr.
+    cls, args, _, _ = case
+    assert len(cls._setters) == len(cls.__slots__)
+    assert "_setters" not in cls.__slots__ + cls.__match_args__
+    assert "setter" not in repr(cls(*args))
+
+
 def test_match_args(case):
     cls, _, _, _ = case
     assert cls.__match_args__ == MATCH_ARGS[cls]
