@@ -4,9 +4,10 @@ Model an access-control state as a directed graph of subjects and
 objects whose arcs carry take/grant/read/write rights, compute islands
 (maximal tg-connected subject groups), and decide whether two vertices
 are linked by a t-bridge: a simple path through object vertices whose
-arcs all carry take, walked with or against arc direction.  A
-brute-force oracle and deterministic generators back the test suite;
-the ``takegrant`` CLI fronts the library.
+arcs all carry take, walked with or against arc direction.  Two
+reference engines (a re-scanning one and a brute-force oracle) and
+deterministic generators back the test suite; they live in ``oracle``,
+which loads on first use.  The ``takegrant`` CLI fronts the library.
 """
 
 from .bridges import (
@@ -14,7 +15,6 @@ from .bridges import (
     Direction,
     SearchReport,
     bridge_exists,
-    bridge_exists_faithful,
     bridges_between_islands,
     find_bridge_path,
     report_to_jsonable,
@@ -50,12 +50,13 @@ from .islands import Island, compute_islands, same_island
 
 __version__ = "0.1.0"
 
-# The brute-force oracle and the generators serve the tests and the
+# The two reference engines and the generators serve the tests and the
 # `check` and `gen` commands; they load on first use (PEP 562), so a
 # query never compiles or imports them.
-_ORACLE_NAMES = frozenset(
-    {"RandomGraphSpec", "SplitMix64", "brute_force_bridge", "enumerate_t_arc_graphs", "random_graph"}
-)
+_ORACLE_NAMES = frozenset({
+    "RandomGraphSpec", "SplitMix64", "bridge_exists_faithful", "brute_force_bridge",
+    "enumerate_t_arc_graphs", "random_graph",
+})
 
 
 def __getattr__(name: str) -> object:

@@ -8,17 +8,14 @@ objects: the search walks the traversal set ``{s, f} | objects(g)`` and
 never routes through any other subject.  The endpoints themselves may
 be of either kind.
 
-Two engines share one observable contract.  ``bridge_exists`` keeps a
+This module holds the frontier engine, ``bridge_exists``: it keeps a
 frontier and looks at each vertex's arcs once, which is the right tool
-for real queries.  ``bridge_exists_faithful`` re-scans every arc
-incident to the whole reached set on every pass -- deliberately wasteful
-(cubic in the vertex count) but a more literal rendering of the same
-pass structure, kept so the two can be checked against each other.  It
-reads only the graph's rights masks (its take arcs, flipped, for
-``t<-*``), never the t-lists the frontier engine walks, so a
-drift between the two stores shows up as a disagreement.  They must return
-identical reports on every input; the test suite enforces this
-exhaustively on small graphs and statistically on large random ones.
+for real queries.  Its reference, ``bridge_exists_faithful``, re-scans
+every arc incident to the whole reached set on every pass.  It lives in
+``oracle`` beside the brute-force oracle, so a query compiles neither.
+The two engines must return identical reports on every input; the test
+suite enforces this exhaustively on small graphs and statistically on
+large random ones.
 
 The frontier engine is one search core, ``_search``, that reads the
 t-lists the graph keeps up to date on insert and never writes to the
@@ -41,7 +38,7 @@ claimed from the goal side: at the top of each pass, one dict lookup
 per frontier vertex finds the goals it feeds, so the search ends before
 the pass that reaches its last goal is scanned.
 
-Pass semantics, shared by both engines and pinned by the tests:
+Pass semantics, shared with the faithful engine and pinned by the tests:
 
 * a pass scans only vertices that were already reached when the pass
   started; vertices discovered mid-pass wait for the next pass;
@@ -65,7 +62,7 @@ from typing import Any, Sequence
 
 from ._value import Value
 from .errors import InvariantViolationError, NotASubjectError, SameIslandError, SameVertexError
-from .graph import _OBJECT, _T, ProtectionGraph, Right, VertexId
+from .graph import _OBJECT, ProtectionGraph, Right, VertexId
 from .islands import Island
 
 
@@ -128,11 +125,6 @@ class SearchReport(Value):
         set_path(self, path)
         set_passes(self, passes)
         set_frontier_trace(self, frontier_trace)
-
-
-def _traversal_set(g: ProtectionGraph, s: VertexId, f: VertexId) -> set[VertexId]:
-    """Vertices a bridge may touch: both endpoints plus every object."""
-    return {v for v, sid in enumerate(g._subject_id) if sid is None or v == s or v == f}
 
 
 def _check_direction(direction: Direction) -> None:
@@ -284,46 +276,6 @@ def bridge_exists(
     return SearchReport(path is not None, direction, path, len(trace), tuple(trace))
 
 
-def bridge_exists_faithful(
-    g: ProtectionGraph,
-    s: VertexId,
-    f: VertexId,
-    direction: Direction = Direction.FORWARD,
-) -> SearchReport:
-    """Same contract as ``bridge_exists``; literal re-scanning engine.
-
-    Every pass walks every arc leaving every vertex reached at pass
-    start and picks out the t-labelled ones whose far endpoint is still
-    unreached.  It reads only the graph's rights masks, never the
-    t-lists: a ``t<-*`` walk on *g* is a ``t->*`` walk on a store of its
-    take arcs, each flipped and carrying ``t`` alone, built from the
-    masks, so one loop serves both directions.  Vertices are scanned in
-    ascending id order; one vertex's arcs are scanned in store order,
-    since each of them claims through that vertex.  Worst case: vertex-count passes, each
-    reviewing every arc of an almost fully reached graph.
-    """
-    check_query(g, s, f, direction)
-    arcs = g._out if direction is Direction.FORWARD else g._reversed_out()
-    reached = {s}
-    unreached = _traversal_set(g, s, f) - reached
-    predecessor: dict[VertexId, VertexId] = {}
-    trace: list[tuple[int, tuple[VertexId, ...]]] = []
-    while True:
-        added: list[VertexId] = []
-        for v in sorted(reached):  # snapshot before the pass grows it
-            for w, mask in arcs[v].items():
-                if mask & _T and w in unreached:
-                    unreached.discard(w)
-                    reached.add(w)
-                    predecessor[w] = v
-                    added.append(w)
-        added.sort()
-        trace.append((len(trace) + 1, tuple(added)))
-        if f in reached or not added:
-            path = _path(predecessor, s, f, direction) if f in predecessor else None
-            return SearchReport(path is not None, direction, path, len(trace), tuple(trace))
-
-
 def _path(
     predecessor: dict[VertexId, VertexId] | list[VertexId | None],
     s: VertexId,
@@ -371,10 +323,10 @@ def bridges_between_islands(
     Both islands must come from ``compute_islands(g)``.  Every member is
     checked to be a subject of *g* (``UnknownVertexError`` for an id
     outside it, ``NotASubjectError`` for an object), and two islands with
-    one index, members that are not strictly ascending, or a shared
-    member raise ``SameIslandError``, all before any search; the
-    partition itself is not recomputed, which would cost O(arcs) per
-    call.
+    one index, an island with no members, members that are not strictly
+    ascending, or a shared member raise ``SameIslandError``, all before
+    any search; the partition itself is not recomputed, which would cost
+    O(arcs) per call.
     """
     _check_direction(direction)
     if island_a.index == island_b.index:
@@ -386,6 +338,8 @@ def bridges_between_islands(
             )
     members = set(island_b.members)
     for island in (island_a, island_b):
+        if not island.members:
+            raise SameIslandError(f"island {island.index} has no members; an island holds a subject")
         for u, v in zip(island.members, island.members[1:]):
             if u >= v:
                 order = "twice" if u == v else f"after {g.vertex_name(u)!r}"

@@ -36,7 +36,6 @@ from typing import NoReturn, Sequence, TextIO
 from .bridges import (
     Direction,
     bridge_exists,
-    bridge_exists_faithful,
     bridges_between_islands,
     report_to_jsonable,
     validate_path,
@@ -167,7 +166,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     if args.objects < 0:
         return _usage_error("--objects must be >= 0")
     # Here, not at the top: the queries never need the oracle module.
-    from .oracle import RandomGraphSpec, brute_force_bridge, random_graph
+    from .oracle import RandomGraphSpec, bridge_exists_faithful, brute_force_bridge, random_graph
 
     # Rights beyond t are generated as noise: a correct search never
     # reacts to them, so disagreement flags label-filtering bugs too.
@@ -185,8 +184,11 @@ def _cmd_check(args: argparse.Namespace) -> int:
             witness = brute_force_bridge(g, s, f, direction)
             if fast != slow:
                 pair = "frontier vs faithful"
-            elif (witness and witness.length) != (fast.path and fast.path.length):
-                # Both return a shortest path, so the lengths agree too.
+            elif (witness and witness.length) != (fast.path and fast.path.length) or (
+                witness is not None and witness.vertices > fast.path.vertices
+            ):
+                # Both return a shortest path, so the lengths agree too, and
+                # the oracle's is the smallest id sequence of that length.
                 pair = "frontier vs brute force"
             else:
                 continue

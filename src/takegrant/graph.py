@@ -153,12 +153,13 @@ class ProtectionGraph:
     subject's id too: kind tests read ``is None``, never truthiness.
 
     Inside the package, the frontier engine reads the t-lists, their
-    object counters and ``_subject_id`` directly, the brute-force oracle
-    reads the t-lists through ``t_successors``/``t_predecessors``, the
-    faithful engine re-scans ``_out`` (for backward walks, the flipped
-    take arcs ``_reversed_out()`` builds from it), both of them take
-    the traversal set from ``_subject_id``, and the islands code reads
-    ``_out`` and ``_subject_id``; nothing outside the package should.
+    object counters and ``_subject_id`` directly, and the islands code
+    reads ``_out`` and ``_subject_id``.  The two reference engines in
+    ``oracle`` take the traversal set from ``_subject_id``: the
+    brute-force oracle reads the t-lists through
+    ``t_successors``/``t_predecessors``, and the faithful engine
+    re-scans ``_out`` (for backward walks, a flipped copy of its take
+    arcs that ``oracle`` builds).  Nothing outside the package should.
     """
 
     def __init__(self) -> None:
@@ -353,20 +354,6 @@ class ProtectionGraph:
             for src, adj in enumerate(self._out)
             for dst, mask in sorted(adj.items())
         ]
-
-    def _reversed_out(self) -> list[dict[VertexId, int]]:
-        """A new arc store holding every take arc of this one flipped, as ``_T``.
-
-        Rights other than t are dropped, and so is an arc without t: a
-        backward walk follows take arcs alone.  It reads the masks, never
-        the t-lists.
-        """
-        out: list[dict[VertexId, int]] = [{} for _ in self._out]
-        for src, adj in enumerate(self._out):
-            for dst, mask in adj.items():
-                if mask & _T:
-                    out[dst][src] = _T
-        return out
 
     def _without_arcs(self) -> ProtectionGraph:
         """New graph with copies of this graph's vertex tables and no arcs."""

@@ -32,7 +32,7 @@ from takegrant import (
     random_graph,
     serialize_graph,
 )
-from takegrant.bridges import _traversal_set
+from takegrant.oracle import _traversal_set
 
 from helpers import (
     LENGTH2_BRIDGE_TGG,

@@ -30,8 +30,7 @@ from takegrant import (
     serialize_graph,
     validate_path,
 )
-from takegrant.bridges import _traversal_set
-from takegrant.oracle import _t_arc_graphs
+from takegrant.oracle import _t_arc_graphs, _traversal_set
 
 from helpers import (
     LENGTH2_BRIDGE_TGG,
@@ -418,6 +417,22 @@ class TestBetweenIslands:
                 with pytest.raises(SameIslandError, match=f"island {index} lists member '{repeated}' twice"):
                     bridges_between_islands(g, Island(0, first), Island(1, second), direction)
 
+    def test_empty_island_rejected(self):
+        # An empty goal island used to crash in the search (pop from an
+        # empty list); an empty source island returned [] unnoticed.
+        g = figure_graph()
+        islands = compute_islands(g)
+        empty = Island(index=5, members=())
+        for direction in BOTH:
+            for first, second in [(islands[0], empty), (empty, islands[0])]:
+                with pytest.raises(SameIslandError, match="^island 5 has no members; "):
+                    bridges_between_islands(g, first, second, direction)
+        # The earlier checks keep their order: one index, then object members.
+        with pytest.raises(SameIslandError, match="got index 5 twice"):
+            bridges_between_islands(g, empty, Island(5, ()))
+        with pytest.raises(NotASubjectError):
+            bridges_between_islands(g, empty, Island(0, (g.vertex_id("x"),)))
+
     def test_descending_members_rejected(self):
         # The result is sorted by (s, f) only because members ascend.
         g = make_graph([("a", "s"), ("b", "s"), ("c", "s"), ("x", "o")],
@@ -619,11 +634,13 @@ def _sweep_shard(bounds: tuple[int, int]) -> int:
         for direction in BOTH:
             witness = brute_force_bridge(g, 0, 1, direction)
             found = bridge_exists(g, 0, 1, direction).path
-            # Both return a shortest path: the same length, or both none.
+            # Both return a shortest path: the same length, or both none;
+            # the oracle's is the smallest id sequence of that length.
             assert (witness and witness.length) == (found and found.length), (
                 serialize_graph(g),
                 direction,
             )
+            assert witness is None or witness.vertices <= found.vertices, (serialize_graph(g), direction)
             cases += 1
     return cases
 

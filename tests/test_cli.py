@@ -573,8 +573,34 @@ class TestCheckCommand:
         assert captured.out == f"{agree}/6 agree\n"
         assert ", frontier vs brute force; replay: " in captured.err
 
+    def test_wrong_shortest_witness_is_caught(self, capsys, monkeypatch):
+        # An oracle whose witnesses have the right length but are the
+        # largest id sequence of it, not the smallest: only comparing the
+        # vertices can catch it.
+        real = oracle.brute_force_bridge
+
+        def largest_shortest(g, s, f, direction):
+            witness = real(g, s, f, direction)
+            if witness is None:
+                return None
+            step = g.t_successors if direction is Direction.FORWARD else g.t_predecessors
+            objects = set(g.objects())
+            heads = [(s,)]  # simple walks from s through objects, one arc short of f
+            for _ in range(witness.length - 1):
+                heads = [(*h, w) for h in heads for w in step(h[-1]) if w in objects and w not in h]
+            return BridgePath(max((*h, f) for h in heads if f in step(h[-1])), direction)
+
+        argv = ["check", "--trials", "20", "--seed", "1", "--objects", "6"]
+        assert cli.main(argv) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(oracle, "brute_force_bridge", largest_shortest)
+        assert cli.main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "15/20 agree\n"
+        assert captured.err.startswith("first disagreement: seed 1, forward, frontier vs brute force; ")
+
     def test_faithful_disagreement_names_that_pair(self, capsys, monkeypatch):
-        real = cli.bridge_exists_faithful
+        real = oracle.bridge_exists_faithful
 
         def off_by_one(g, s, f, direction):
             report = real(g, s, f, direction)
@@ -584,7 +610,7 @@ class TestCheckCommand:
                 report.exists, report.direction, report.path, report.passes + 1, report.frontier_trace
             )
 
-        monkeypatch.setattr(cli, "bridge_exists_faithful", off_by_one)
+        monkeypatch.setattr(oracle, "bridge_exists_faithful", off_by_one)
         assert cli.main(["check", "--trials", "4", "--seed", "9"]) == 3
         captured = capsys.readouterr()
         assert captured.out == "0/4 agree\n"
@@ -684,6 +710,22 @@ class TestParserPlumbing:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "\n"
 
+    def test_queries_never_load_the_oracle(self, figure_file):
+        # Both reference engines live in the oracle module, so a query
+        # that runs to its end must not have loaded it.
+        code = (
+            "import sys, takegrant.cli as cli; f = sys.argv[1]; "
+            "codes = [cli.main(argv) for argv in (['bridge', f, 's', 'f'], ['bridge', f, 's', 'f', '--json'], "
+            "['bridges', f, '0', '1'], ['islands', f])]; "
+            "print(codes, 'takegrant.oracle' in sys.modules)"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code, figure_file],
+            env={**os.environ, "PYTHONPATH": SRC}, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0] False"
+
     def test_star_import_and_dir_list_the_lazy_oracle_names(self):
         import takegrant
 
@@ -692,6 +734,7 @@ class TestParserPlumbing:
         exec("from takegrant import *", namespace)
         assert set(takegrant.__all__) <= set(namespace)
         assert namespace["random_graph"] is oracle.random_graph
+        assert namespace["bridge_exists_faithful"] is oracle.bridge_exists_faithful
         with pytest.raises(AttributeError, match="no attribute 'oracle_name'"):
             takegrant.oracle_name
 

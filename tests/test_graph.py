@@ -33,6 +33,7 @@ from takegrant import (
     validate_path,
 )
 from takegrant.graph import _BULK_ROW
+from takegrant.oracle import _reversed_out
 
 from helpers import LENGTH2_BRIDGE_TGG, flipped, graphs, make_graph, t_only_projection, tgg_documents
 
@@ -489,23 +490,23 @@ class TestTIndex:
 
 
 class TestReverse:
-    """The one arc flip left in the package: ``_reversed_out()``, the
-    store of flipped take arcs the faithful engine walks for ``t<-*``."""
+    """The one arc flip left in the package: ``oracle._reversed_out``,
+    the store of flipped take arcs the faithful engine walks for ``t<-*``."""
 
     def test_reverse_of_empty(self):
-        assert new_graph()._reversed_out() == []
+        assert _reversed_out(new_graph()) == []
 
     def test_reverse_figure_arcs(self):
         g = figure_graph()
         s, x, f = g.vertex_id("s"), g.vertex_id("x"), g.vertex_id("f")
-        assert g._reversed_out() == [{}, {s: 1}, {x: 1}]  # x -> s and f -> x, t only
+        assert _reversed_out(g) == [{}, {s: 1}, {x: 1}]  # x -> s and f -> x, t only
         assert g._out == [{x: 1}, {f: 1}, {}]  # the graph itself is untouched
 
     @given(graphs())
     def test_reverse_matches_graph_built_from_flipped_edges(self, g):
         # Every take arc, flipped the way add_edge flips it, carrying t
         # alone; an arc without t is not there at all.
-        assert g._reversed_out() == t_only_projection(flipped(g))._out
+        assert _reversed_out(g) == t_only_projection(flipped(g))._out
 
 
 class TestParse:
@@ -678,8 +679,9 @@ class TestEquality:
 #
 # The saturation stop trusts the object counters and the frontier engine
 # trusts the t-lists and the predecessor template, all kept up to date on
-# insert.  This machine mutates one graph the ways a caller can and, after
-# every step, recounts each of them from a model kept beside the graph.
+# insert.  This machine mutates one graph the ways a caller and the row
+# writer can and, after every step, recounts each of them from a model
+# kept beside the graph.
 
 # A non-empty rights set in any of the containers add_edge accepts:
 # edges()' own frozenset takes the mask lookup, the others the per-item loop.
@@ -702,13 +704,15 @@ class GraphModel(RuleBasedStateMachine):
         self.t_order: list[tuple[int, int]] = []  # pairs in the order t first appeared
         self.probe = (0, 1)
 
-    def _add(self, src, dst, rights, probe):
-        self.g.add_edge(src, dst, rights)
-        rights = frozenset(rights)
+    def _record(self, src, dst, rights):
         old = self.masks.get((src, dst), frozenset())
         self.masks[src, dst] = old | rights
         if Right.T in rights and Right.T not in old:
             self.t_order.append((src, dst))
+
+    def _add(self, src, dst, rights, probe):
+        self.g.add_edge(src, dst, rights)
+        self._record(src, dst, frozenset(rights))
         self.probe = probe
 
     @precondition(lambda self: len(self.kinds) < MAX_MODEL_VERTICES)
@@ -740,6 +744,24 @@ class GraphModel(RuleBasedStateMachine):
     @rule(data=st.data(), rights=RIGHT_SETS, probe=PROBES)
     def repeat_arc(self, data, rights, probe):
         self._add(*data.draw(st.sampled_from(sorted(self.masks))), rights, probe)
+
+    @precondition(lambda self: self.kinds)
+    @rule(data=st.data(), probe=PROBES)
+    def insert_row(self, data, probe):
+        # One source's run through the unchecked row writer, as parse_graph
+        # and the generators hand it: every vertex once (the bulk path, at
+        # _BULK_ROW vertices and a source with no arcs yet) or any targets,
+        # repeats included, each with a mask that may lack t.
+        n = len(self.kinds)
+        src = data.draw(st.integers(0, n - 1))
+        any_targets = st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * _BULK_ROW)
+        dsts = data.draw(st.permutations(range(n)) | any_targets)
+        masks = data.draw(st.lists(st.integers(1, 15), min_size=len(dsts), max_size=len(dsts)))
+        # A list, as parse_graph passes, or a one-pass iterator, as random_graph does.
+        self.g._insert_row(src, data.draw(st.sampled_from((list, iter)))(dsts), bytes(masks))
+        for dst, mask in zip(dsts, masks):
+            self._record(src, dst, frozenset(r for i, r in enumerate(RIGHT_ORDER) if mask >> i & 1))
+        self.probe = probe
 
     @invariant()
     def kind_views_match_model(self):
