@@ -155,7 +155,7 @@ class ProtectionGraph:
     Inside the package, the frontier engine reads the t-lists, their
     object counters and ``_subject_id`` directly, and the islands code
     reads ``_out`` and ``_subject_id``.  The two reference engines in
-    ``oracle`` take the traversal set from ``_subject_id``: the
+    ``oracle`` read each far endpoint's kind in ``_subject_id``: the
     brute-force oracle reads the t-lists through
     ``t_successors``/``t_predecessors``, and the faithful engine
     re-scans ``_out`` (for backward walks, a flipped copy of its take
@@ -339,12 +339,15 @@ class ProtectionGraph:
 
     def t_successors(self, v: VertexId) -> list[VertexId]:
         """Targets of the t arcs v -> w, in ascending id order."""
-        self._require(v)
+        # _require's checks, inlined for a plain in-range int as in add_edge.
+        if not (v.__class__ is int and 0 <= v < len(self._names)):
+            self._require(v)
         return sorted(self._t_succ[v])
 
     def t_predecessors(self, v: VertexId) -> list[VertexId]:
         """Sources of the t arcs w -> v, in ascending id order."""
-        self._require(v)
+        if not (v.__class__ is int and 0 <= v < len(self._names)):
+            self._require(v)
         return sorted(self._t_pred[v])
 
     def edges(self) -> list[Edge]:

@@ -16,7 +16,8 @@ from the worklist engines, so a bug in one is unlikely to hide in the
 other.  A flood fill settles existence first, so only a hit is ever
 enumerated, and a miss costs one pass over what the start reaches.  It
 walks an explicit stack, not Python's call stack, so it needs O(depth)
-memory and has no recursion limit.
+memory and has no recursion limit.  Neither engine builds a traversal
+set: each tests an arc's far endpoint's kind, one test per arc.
 
 ``enumerate_t_arc_graphs`` walks every t-arc pattern over a small fixed
 vertex set, and ``random_graph`` draws reproducible graphs from a
@@ -261,11 +262,6 @@ def _t_arc_graphs(
         yield g
 
 
-def _traversal_set(g: ProtectionGraph, s: VertexId, f: VertexId) -> set[VertexId]:
-    """Vertices a bridge may touch: both endpoints plus every object."""
-    return {v for v, sid in enumerate(g._subject_id) if sid is None or v == s or v == f}
-
-
 def _reversed_out(g: ProtectionGraph) -> list[dict[VertexId, int]]:
     """A new arc store holding every take arc of *g* flipped, as ``_T``.
 
@@ -291,26 +287,27 @@ def bridge_exists_faithful(
 
     Every pass walks every arc leaving every vertex reached at pass
     start and picks out the t-labelled ones whose far endpoint is still
-    unreached.  It reads only the graph's rights masks, never the
-    t-lists: a ``t<-*`` walk on *g* is a ``t->*`` walk on a store of its
-    take arcs, each flipped and carrying ``t`` alone, built from the
-    masks, so one loop serves both directions.  Vertices are scanned in
-    ascending id order; one vertex's arcs are scanned in store order,
-    since each of them claims through that vertex.  Worst case: vertex-count passes, each
+    unreached and may lie on a bridge, an object or f: one kind test
+    in ``_subject_id`` per arc, with no traversal set built.  It reads
+    only the graph's rights masks, never the t-lists: a ``t<-*`` walk
+    on *g* is a ``t->*`` walk on a store of its take arcs, each flipped
+    and carrying ``t`` alone, built from the masks, so one loop serves
+    both directions.  Vertices are scanned in ascending id order; one
+    vertex's arcs are scanned in store order, since each of them claims
+    through that vertex.  Worst case: vertex-count passes, each
     reviewing every arc of an almost fully reached graph.
     """
     check_query(g, s, f, direction)
     arcs = g._out if direction is Direction.FORWARD else _reversed_out(g)
+    subject_id = g._subject_id
     reached = {s}
-    unreached = _traversal_set(g, s, f) - reached
     predecessor: dict[VertexId, VertexId] = {}
     trace: list[tuple[int, tuple[VertexId, ...]]] = []
     while True:
         added: list[VertexId] = []
         for v in sorted(reached):  # snapshot before the pass grows it
             for w, mask in arcs[v].items():
-                if mask & _T and w in unreached:
-                    unreached.discard(w)
+                if mask & _T and w not in reached and (subject_id[w] is None or w == f):
                     reached.add(w)
                     predecessor[w] = v
                     added.append(w)
@@ -333,7 +330,8 @@ def brute_force_bridge(
     f: VertexId,
     direction: Direction = Direction.FORWARD,
 ) -> BridgePath | None:
-    """Exhaustive simple-path witness search over the traversal set.
+    """Exhaustive simple-path witness search over the traversal set,
+    ``{s, f} | objects``.
 
     Depth-first iterative deepening (Korf, AI 27(1), 1985): shortest
     lengths first and ascending vertex ids within a length, so the
@@ -347,24 +345,27 @@ def brute_force_bridge(
     f, so if the fill never meets f there is no bridge, and a miss costs
     O(arcs) instead of every simple path from *s*.  Deepening runs only
     when a witness exists, and then ends at the first length that holds
-    one, at most ``len(traversal) - 1``.  The walk never meets f short
-    of the length it tries: a shorter simple path to f would have ended
-    the search at its own length.
+    one, at most the traversal set's size minus one.  The walk never
+    meets f short of the length it tries: a shorter simple path to f
+    would have ended the search at its own length.
 
     A vertex's successors are looked up on its first visit and kept for
     the rest of the query, so the graph is asked at most once per
     traversal-set vertex; the fill and the walk share them.  The memo
-    fills lazily: a hit at length 1 asks only about *s*.
+    fills lazily: a hit at length 1 asks only about *s*.  Each list
+    keeps a successor w only when ``_subject_id`` marks w an object or
+    w is f, one kind test per arc; a subject s drops out, which cannot
+    matter, since every path starts at s.
     """
     check_query(g, s, f, direction)
-    traversal = _traversal_set(g, s, f)
+    subject_id = g._subject_id
     neighbors = g.t_successors if direction is Direction.FORWARD else g.t_predecessors
     memo: dict[VertexId, list[VertexId]] = {}
 
     def successors(v: VertexId) -> list[VertexId]:
         ws = memo.get(v)
         if ws is None:
-            ws = memo[v] = [w for w in neighbors(v) if w in traversal]
+            ws = memo[v] = [w for w in neighbors(v) if subject_id[w] is None or w == f]
         return ws
 
     if f in successors(s):

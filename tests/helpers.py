@@ -46,6 +46,13 @@ def chain_graph(length: int):
     return g, s, f, arcs
 
 
+def _traversal_set(g: ProtectionGraph, s: VertexId, f: VertexId) -> set[VertexId]:
+    """The traversal set ``{s, f} | objects``: the vertices a bridge from
+    *s* to *f* may touch.  Neither reference engine builds it; the tests
+    state it here, to bound pass counts and the oracle's lookups."""
+    return {s, f, *g.objects()}
+
+
 def _vertices_of(g: ProtectionGraph) -> ProtectionGraph:
     """A new graph declaring *g*'s vertices, in id order, with no arcs."""
     clone = ProtectionGraph()

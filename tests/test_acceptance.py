@@ -32,10 +32,10 @@ from takegrant import (
     random_graph,
     serialize_graph,
 )
-from takegrant.oracle import _traversal_set
 
 from helpers import (
     LENGTH2_BRIDGE_TGG,
+    _traversal_set,
     chain_graph,
     copy_without_arc,
     flipped,
@@ -428,6 +428,37 @@ def test_deep_chain_three_way(direction):
     assert brute_force_bridge(g, s, f, direction) == fast.path
 
 
+def _saturating_scan_arcs(g, s, f):
+    """The t arcs a forward frontier scan from *s* to *f* examines when it
+    stops right after the vertex that claims the last claimable vertex.
+
+    Claimable, counted as the engine counts it: every object some t arc
+    enters, s excepted, plus f when f is a subject some t arc enters.
+    Each pass scans the vertices the previous pass claimed, ascending,
+    and examines every t arc out of each.
+    """
+    entered = [bool(g.t_predecessors(v)) for v in range(g.vertex_count)]
+    objects = set(g.objects())
+    remaining = sum(entered[v] for v in objects - {s})
+    remaining += f not in objects and entered[f]
+    claimed = {s}
+    frontier = [s] if remaining else []
+    arcs = 0
+    while frontier:
+        added = []
+        for v in frontier:
+            for w in g.t_successors(v):
+                arcs += 1
+                if w not in claimed and (w in objects or w == f):
+                    claimed.add(w)
+                    added.append(w)
+                    remaining -= 1
+            if not remaining:
+                return arcs
+        frontier = sorted(added)
+    return arcs
+
+
 def test_worst_case_miss_arcs_examined():
     # Random t-only graphs of 100, 200 and 400 vertices (one subject)
     # plus an isolated sink object.  On this miss the faithful engine
@@ -441,6 +472,8 @@ def test_worst_case_miss_arcs_examined():
         slow, slow_arcs = _faithful_arcs(g, 0, sink, Direction.FORWARD)
         assert fast == slow and not fast.exists
         assert fast_arcs <= _t_arc_count(g)
+        # Saturation stops the scan early: not one arc past the last claim.
+        assert fast_arcs == _saturating_scan_arcs(g, 0, sink)
         faithful_arcs.append(slow_arcs)
     assert faithful_arcs[0] < faithful_arcs[1] < faithful_arcs[2], faithful_arcs
 

@@ -30,10 +30,11 @@ from takegrant import (
     serialize_graph,
     validate_path,
 )
-from takegrant.oracle import _t_arc_graphs, _traversal_set
+from takegrant.oracle import _t_arc_graphs
 
 from helpers import (
     LENGTH2_BRIDGE_TGG,
+    _traversal_set,
     chain_graph,
     copy_without_arc,
     flipped,

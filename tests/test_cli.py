@@ -129,6 +129,18 @@ class TestBridgeCommand:
         assert report["exists"] is False
         assert report["path"] is None
 
+    def test_unbacked_path_is_internal_error(self, figure_file, capsys, monkeypatch):
+        # An engine that claims the step s -> f, which no t arc backs:
+        # the command re-checks the path before it prints anything.
+        def unbacked(g, s, f, direction):
+            return SearchReport(True, direction, BridgePath((s, f), direction), 1, ((1, (f,)),))
+
+        monkeypatch.setattr(cli, "bridge_exists", unbacked)
+        assert cli.main(["bridge", figure_file, "s", "f"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("internal error: ")
+
     def test_unknown_name(self, figure_file, capsys):
         assert cli.main(["bridge", figure_file, "s", "zzz"]) == 2
         assert "zzz" in capsys.readouterr().err

@@ -42,6 +42,20 @@ def figure_graph():
     return parse_graph(LENGTH2_BRIDGE_TGG)
 
 
+class _CountingRow(dict):
+    """An arc row that counts the two ways ``_insert_row`` writes to it."""
+
+    updates = sets = 0
+
+    def update(self, *args):
+        self.updates += 1
+        super().update(*args)
+
+    def __setitem__(self, key, value):
+        self.sets += 1
+        super().__setitem__(key, value)
+
+
 class _EqualsT:
     """Hashes and compares equal to ``Right.T`` without being a ``Right``."""
 
@@ -211,6 +225,8 @@ class TestConstruction:
         g.add_edge(Vid(0), Vid(1), {Right.T})
         assert g.rights_between(Vid(0), Vid(1)) == {Right.T}
         assert g.rights_between(0, 1) == {Right.T}
+        assert g.t_successors(Vid(0)) == [1]
+        assert g.t_predecessors(Vid(1)) == [0]
 
     def test_self_loop_allowed(self):
         g = make_graph([("s", "s")], [("s", "s", "t")])
@@ -352,6 +368,31 @@ class TestRowWriter:
             want.add_edge(0, dst, [right for i, right in enumerate(RIGHT_ORDER) if mask >> i & 1])
         assert vars(g) == vars(want)
 
+    @pytest.mark.parametrize(
+        "distinct, repeat, updates, sets",
+        [
+            (_BULK_ROW, False, 1, 0),
+            (_BULK_ROW - 1, False, 0, _BULK_ROW - 1),
+            (_BULK_ROW - 1, True, 1, _BULK_ROW),
+        ],
+        ids=["bulk", "below", "repeat"],
+    )
+    def test_which_path_a_fresh_row_takes(self, distinct, repeat, updates, sets):
+        # A run of _BULK_ROW arcs out of a source with none yet goes in
+        # through one dict.update; a shorter run goes in arc by arc; a run
+        # that repeats a target is undone and redone arc by arc, so the
+        # repeat's mask unions with the first one's.
+        dsts = [*range(distinct, 0, -1), *([distinct] if repeat else [])]
+        masks = bytes(1 + i % 15 for i in range(len(dsts)))
+        vertices = [("s", "s"), *((f"o{i}", "o") for i in range(distinct))]
+        g, want = make_graph(vertices), make_graph(vertices)
+        row = g._out[0] = _CountingRow()
+        g._insert_row(0, dsts, masks)
+        assert (row.updates, row.sets) == (updates, sets)
+        for dst, mask in zip(dsts, masks):
+            want.add_edge(0, dst, [right for i, right in enumerate(RIGHT_ORDER) if mask >> i & 1])
+        assert vars(g) == vars(want)
+
     def test_a_run_of_only_non_t_arcs(self):
         text = "tgg 1\nobject s\nobject a\n" + "edge s a g\n" * (_BULK_ROW + 1)
         g = parse_graph(text)
@@ -391,6 +432,15 @@ class TestAdjacency:
             g.t_successors(0)
         with pytest.raises(UnknownVertexError):
             g.t_predecessors(0)
+
+    @pytest.mark.parametrize("query", ["t_successors", "t_predecessors"])
+    @pytest.mark.parametrize("bad", [True, False, -1, 2, 1.0, "0"])
+    def test_neighbors_reject_bad_ids(self, query, bad):
+        # Every id but an in-range int is no vertex: True would name
+        # vertex 1, -1 the last vertex, and 2 is vertex_count.
+        g = make_graph([("s", "s"), ("x", "o")], [("s", "x", "t"), ("x", "s", "t")])
+        with pytest.raises(UnknownVertexError, match="is not in this graph"):
+            getattr(g, query)(bad)
 
     @given(graphs())
     def test_in_neighbors_match_reversed_out(self, g):
