@@ -54,7 +54,7 @@ __version__ = "0.1.0"
 # `check` and `gen` commands; they load on first use (PEP 562), so a
 # query never compiles or imports them.
 _ORACLE_NAMES = frozenset({
-    "RandomGraphSpec", "SplitMix64", "bridge_exists_faithful", "brute_force_bridge",
+    "RandomGraphSpec", "bridge_exists_faithful", "brute_force_bridge",
     "enumerate_t_arc_graphs", "random_graph",
 })
 
@@ -92,7 +92,6 @@ __all__ = [
     "SameIslandError",
     "SameVertexError",
     "SearchReport",
-    "SplitMix64",
     "TakeGrantError",
     "TooLargeError",
     "UnknownVertexError",

@@ -143,9 +143,11 @@ class ProtectionGraph:
     ``_insert_row``, unchecked, a run of arcs out of one source per call,
     for ``parse_graph`` and the generators.  The only index over the store
     is the t-lists, the per-vertex t-successor and t-predecessor lists,
-    kept up to date by ``add_vertex`` and both arc writers, so a query
-    never writes to the graph: a fully built graph may be shared across
-    threads for reading, while mutation needs exclusive access.
+    kept up to date, with a t-arc count, by ``add_vertex`` and both arc
+    writers, so a query never writes arcs or t-lists: a fully built graph
+    may be shared across threads for reading, while mutation needs
+    exclusive access.  A query may fill one derived cache, the bit rows
+    of ``_bit_rows``, which the next query after a mutation discards.
 
     Kind has one record, ``_subject_id``: a vertex's own id for a
     subject, ``None`` for an object, so the frontier engine can copy it
@@ -153,7 +155,7 @@ class ProtectionGraph:
     subject's id too: kind tests read ``is None``, never truthiness.
 
     Inside the package, the frontier engine reads the t-lists, their
-    object counters and ``_subject_id`` directly, and the islands code
+    counters and ``_subject_id`` directly, and the islands code
     reads ``_out`` and ``_subject_id``.  The two reference engines in
     ``oracle`` read each far endpoint's kind in ``_subject_id``: the
     brute-force oracle reads the t-lists through
@@ -175,6 +177,10 @@ class ProtectionGraph:
         # Objects that some t arc enters, and objects that some t arc leaves.
         self._t_entered_objects = 0
         self._t_left_objects = 0
+        # Take arcs: every pair whose arc carries t, counted once.
+        self._t_arcs = 0
+        # The bit rows queries fill (see _bit_rows), or None before the first.
+        self._row_cache: tuple | None = None
 
     # ---- construction ------------------------------------------------
 
@@ -241,6 +247,7 @@ class ProtectionGraph:
         old = out.get(dst, 0)
         merged = out[dst] = old | mask
         if (merged ^ old) & _T:
+            self._t_arcs += 1
             succ = self._t_succ[src]
             if not succ and self._subject_id[src] is None:
                 self._t_left_objects += 1
@@ -275,6 +282,7 @@ class ProtectionGraph:
                     # No arcs out of src yet, so no t-successors either.
                     if subject_id[src] is None:
                         self._t_left_objects += 1
+                    self._t_arcs += len(fresh)
                     succ += fresh
                     entered = 0
                     for dst in fresh:
@@ -286,6 +294,7 @@ class ProtectionGraph:
                 return
             # A repeated target kept its last mask, not the union.
             out.clear()
+        had = len(succ)
         for dst, mask in zip(dsts, masks):
             old = out.get(dst, 0)
             merged = out[dst] = old | mask
@@ -297,6 +306,7 @@ class ProtectionGraph:
                 if not pred and subject_id[dst] is None:
                     self._t_entered_objects += 1
                 pred.append(src)
+        self._t_arcs += len(succ) - had
 
     # ---- vertex queries ----------------------------------------------
 
@@ -349,6 +359,28 @@ class ProtectionGraph:
         if not (v.__class__ is int and 0 <= v < len(self._names)):
             self._require(v)
         return sorted(self._t_pred[v])
+
+    def _bit_rows(self, forward: bool) -> tuple[int, list[VertexId], list[int | None]]:
+        """The objects as one int (bit v set for each object v), the ids
+        0 to n - 1 as one shared list, and one walk direction's row
+        cache, for the bit-row pass in ``bridges``.
+
+        Row v of the forward (backward) cache, once a query fills it, has
+        bit w set for each t arc v -> w (w -> v): v's t-list as one int.
+        Arcs are never removed, so the t-arc count and the vertex count
+        pin the t-lists; the first call after either changes starts empty
+        caches, and the writers never touch them.  Two queries running at
+        once may both fill a row, with the same value; arcs and t-lists
+        are never written.
+        """
+        key = (self._t_arcs, len(self._names))
+        cache = self._row_cache
+        if cache is None or cache[0] != key:
+            n = key[1]
+            # A "1" per object, highest id first, read as a binary numeral.
+            objects = int(bytes([49 if sid is None else 48 for sid in reversed(self._subject_id)]), 2)
+            cache = self._row_cache = (key, objects, list(range(n)), [None] * n, [None] * n)
+        return cache[1], cache[2], cache[3 if forward else 4]
 
     def edges(self) -> list[Edge]:
         """Every merged arc, sorted by (src, dst)."""

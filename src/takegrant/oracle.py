@@ -27,10 +27,12 @@ per call, skipping ``add_edge``'s checks on ids and rights they made
 themselves.
 ``random_graph`` runs SplitMix64 on up to 1,024 draws at once, one per
 128-bit lane of a Python int, and reads each draw's decision, exactly
-the one ``next_unit() < p`` would make, from one bit of its lane.  It
-decodes those decisions one source vertex's row at a time, with bytes
-and ``itertools`` operations, so Python steps once per row, and per
-arc only inside the graph's row writer, never per draw.
+the one a scalar generator's ``next_unit() < p`` would make, from one
+bit of its lane; the tests hold it to such a generator, ``SplitMix64``
+in ``tests/helpers.py``.  It decodes those decisions one source vertex's
+row at a time, with bytes and ``itertools`` operations, so Python steps
+once per row, and per arc only inside the graph's row writer, never per
+draw.
 """
 
 from __future__ import annotations
@@ -84,27 +86,6 @@ class RandomGraphSpec(Value):
         set_probability(self, arc_probability)
         set_pool(self, rights_pool)
         set_seed(self, seed)
-
-
-class SplitMix64:
-    """SplitMix64 pseudo-random generator.
-
-    The 64-bit mixer from Steele, Lea and Flood's splittable PRNG (the
-    stream ``java.util.SplittableRandom`` produces).  Chosen because the
-    whole generator is a dozen portable lines, so a corpus is pinned by
-    its seed alone no matter who regenerates it.
-    """
-
-    def __init__(self, seed: int) -> None:
-        self._state = seed & _MASK64
-
-    def next_u64(self) -> int:
-        self._state = (self._state + _GAMMA) & _MASK64
-        return _mix(self._state, _MASK64)
-
-    def next_unit(self) -> float:
-        """Uniform float in [0, 1), from the top 53 bits."""
-        return (self.next_u64() >> 11) * 2.0**-53
 
 
 def _mix(z: int, m: int) -> int:

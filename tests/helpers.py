@@ -1,11 +1,40 @@
 """Shared test utilities: compact graph builders, the independent
-island oracle, and hypothesis strategies."""
+island oracle, the scalar SplitMix64 generator, and hypothesis
+strategies."""
 
 from __future__ import annotations
 
 from hypothesis import strategies as st
 
-from takegrant import Direction, ProtectionGraph, Right, VertexId, VertexKind
+from takegrant import Direction, ProtectionGraph, Right, SearchReport, VertexId, VertexKind
+from takegrant.bridges import _path, _search
+
+_MASK64 = (1 << 64) - 1
+
+
+class SplitMix64:
+    """SplitMix64 pseudo-random generator, one draw per call.
+
+    The 64-bit mixer from Steele, Lea and Flood's splittable PRNG (the
+    stream ``java.util.SplittableRandom`` produces).  ``random_graph``
+    runs the same stream 1,024 lanes at a time inside one Python int;
+    this scalar form, written apart from that code, is what the tests
+    hold its lanes to.
+    """
+
+    def __init__(self, seed: int) -> None:
+        self._state = seed & _MASK64
+
+    def next_u64(self) -> int:
+        self._state = z = (self._state + 0x9E3779B97F4A7C15) & _MASK64
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        return z ^ (z >> 31)
+
+    def next_unit(self) -> float:
+        """Uniform float in [0, 1), from the top 53 bits."""
+        return (self.next_u64() >> 11) * 2.0**-53
+
 
 # The canonical length-2 bridge: two one-subject islands joined through
 # one object, used all over the suite.
@@ -44,6 +73,14 @@ def chain_graph(length: int):
     for src, dst in arcs:
         g.add_edge(src, dst, {Right.T})
     return g, s, f, arcs
+
+
+def list_loop_report(g: ProtectionGraph, s: VertexId, f: VertexId, direction: Direction) -> SearchReport:
+    """The report ``bridge_exists`` gives when it runs the list loop,
+    whatever pass kind it would pick for *g*."""
+    pred, trace = _search(g, s, (f,), direction, None)
+    path = _path(pred, s, f, direction) if pred is not None and pred[f] is not None else None
+    return SearchReport(path is not None, direction, path, len(trace), tuple(trace))
 
 
 def _traversal_set(g: ProtectionGraph, s: VertexId, f: VertexId) -> set[VertexId]:

@@ -31,7 +31,9 @@ from takegrant import (
     parse_graph,
     random_graph,
     serialize_graph,
+    validate_path,
 )
+from takegrant.bridges import _row_search
 
 from helpers import (
     LENGTH2_BRIDGE_TGG,
@@ -39,6 +41,7 @@ from helpers import (
     chain_graph,
     copy_without_arc,
     flipped,
+    list_loop_report,
     make_graph,
     naive_island_partition,
     smallest_shortest_witnesses,
@@ -59,6 +62,7 @@ class SweepStats:
     forward_agree: int = 0
     backward_agree: int = 0
     faithful_mismatches: int = 0
+    row_mismatches: int = 0
     duality_mismatches: int = 0
     bound_violations: int = 0
     elapsed: float = 0.0
@@ -76,6 +80,10 @@ def _audit_graph(g: ProtectionGraph, s: int, f: int, stats: SweepStats) -> None:
         witness = brute_force_bridge(g, s, f, direction)
         if fast != slow:
             stats.faithful_mismatches += 1
+        # These graphs are too sparse for bridge_exists to pick bit rows,
+        # so the bit-row pass is run directly and held to its report.
+        if _row_search(g, s, f, direction) != fast:
+            stats.row_mismatches += 1
         if fast.passes > bound or slow.passes > bound:
             stats.bound_violations += 1
         # Both return a shortest path: the same length, or both none.  The
@@ -203,13 +211,14 @@ def test_criterion_2_exhaustive_oracle_equivalence(exhaustive_sweep):
         and st.forward_agree == 4096
         and st.backward_agree == 4096
         and st.faithful_mismatches == 0
+        and st.row_mismatches == 0
         and st.elapsed < 10.0
     )
     _report_line(
         2,
         ok,
         f"forward {st.forward_agree}/4096, backward {st.backward_agree}/4096, "
-        f"{st.elapsed:.2f} s",
+        f"bit-row mismatches {st.row_mismatches}, {st.elapsed:.2f} s",
     )
 
 
@@ -220,13 +229,15 @@ def test_criterion_3_randomized_oracle_equivalence(random_sweep):
         and st.forward_agree == st.trials
         and st.backward_agree == st.trials
         and st.faithful_mismatches == 0
+        and st.row_mismatches == 0
         and st.elapsed < 60.0
     )
     _report_line(
         3,
         ok,
         f"{st.trials} trials, agree fwd {st.forward_agree} / bwd {st.backward_agree}, "
-        f"faithful mismatches {st.faithful_mismatches}, {st.elapsed:.1f} s",
+        f"faithful mismatches {st.faithful_mismatches}, bit-row mismatches {st.row_mismatches}, "
+        f"{st.elapsed:.1f} s",
     )
 
 
@@ -243,8 +254,47 @@ def test_object_endpoints_agree(object_endpoint_sweeps, sweep):
     for kinds, st in stats.items():
         assert (st.forward_agree, st.backward_agree) == (st.trials, st.trials), kinds
         assert st.faithful_mismatches == 0, kinds
+        assert st.row_mismatches == 0, kinds
         assert st.bound_violations == 0, kinds
         assert st.duality_mismatches == 0, kinds
+
+
+DENSE_CORPUS_SEED_BASE = 95_000
+
+
+def _dense_corpus():
+    """200 seeded t-only graphs of 40 to 80 vertices, two of them
+    subjects, at p from 0.5 to 0.95 but never below 36 / (n - 1), so the
+    expected average t-degree is at least 36, past the bit-row floor of
+    32.  Below about 35 vertices even p = 0.95 falls short of that
+    floor, so the sizes start at 40."""
+    for i in range(200):
+        n = 40 + i % 41
+        low = max(0.5, 36 / (n - 1))
+        p = low + (0.95 - low) * (i % 7) / 6
+        yield random_graph(RandomGraphSpec(2, n - 2, p, frozenset({Right.T}), DENSE_CORPUS_SEED_BASE + i))
+
+
+def test_dense_corpus_three_way():
+    # The public bridge_exists takes bit rows on every graph here (the
+    # first query fills the row cache), and must still agree with the
+    # faithful engine, the list loop and the oracle, between every kind
+    # of endpoint, both ways.
+    cases = 0
+    for g in _dense_corpus():
+        assert g._row_cache is None
+        for kinds, (s, f) in {"subject->subject": (0, 1), **_object_endpoint_pairs(g)}.items():
+            for direction in BOTH:
+                fast = bridge_exists(g, s, f, direction)
+                assert g._row_cache is not None, (kinds, direction)
+                assert fast == bridge_exists_faithful(g, s, f, direction), (kinds, direction)
+                assert fast == list_loop_report(g, s, f, direction), (kinds, direction)
+                witness = brute_force_bridge(g, s, f, direction)
+                assert (witness and witness.length) == (fast.path and fast.path.length), (kinds, direction)
+                if fast.exists:
+                    validate_path(g, fast.path)
+                cases += 1
+    assert cases == 200 * 4 * 2
 
 
 def test_criterion_4_termination_bound(exhaustive_sweep, random_sweep):
@@ -313,8 +363,12 @@ def test_criterion_8_scale_smoke():
     t0 = time.perf_counter()
     slow = bridge_exists_faithful(g, 0, 1)
     slow_elapsed = time.perf_counter() - t0
+    # Average t-degree about 100: the bit-row pass answers, and fills the
+    # graph's row cache as it goes.
+    rows = g._row_cache is not None
     ok = (
         185_000 <= arcs <= 215_000
+        and rows
         and fast == slow
         and fast_elapsed < 1.0
         and slow_elapsed < 60.0
@@ -322,8 +376,8 @@ def test_criterion_8_scale_smoke():
     _report_line(
         8,
         ok,
-        f"{arcs} arcs, optimized {fast_elapsed * 1e3:.0f} ms, faithful {slow_elapsed * 1e3:.0f} ms, "
-        f"reports {'equal' if fast == slow else 'DIFFER'}",
+        f"{arcs} arcs, optimized {fast_elapsed * 1e3:.0f} ms ({'bit rows' if rows else 'LISTS'}), "
+        f"faithful {slow_elapsed * 1e3:.0f} ms, reports {'equal' if fast == slow else 'DIFFER'}",
     )
 
 

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import multiprocessing
+import os
 import random
 import re
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -30,6 +33,7 @@ from takegrant import (
     serialize_graph,
     validate_path,
 )
+from takegrant.graph import _T
 from takegrant.oracle import _t_arc_graphs
 
 from helpers import (
@@ -40,6 +44,7 @@ from helpers import (
     flipped,
     graphs_with_any_endpoints,
     graphs_with_endpoints,
+    list_loop_report,
     make_graph,
     t_only_projection,
 )
@@ -279,6 +284,135 @@ class TestQueriesAfterMutation:
             g.t_predecessors(v).append(v)
         assert [bridge_exists(g, 0, 2, d) for d in BOTH] == before
         assert before[0].path.vertices == (0, 1, 2)
+
+
+class TestPassSelection:
+    """``bridge_exists`` takes the bit-row pass when the average t-degree
+    is at least max(32, n / 64), and the list loop otherwise.  Only the
+    bit-row pass fills the graph's row cache, so the cache shows which
+    one ran; either way the report is the list loop's."""
+
+    def _pass_kinds(self, g, queries):
+        kinds = set()
+        for s, f, direction in queries:
+            g._row_cache = None
+            report = bridge_exists(g, s, f, direction)
+            assert report == list_loop_report(g, s, f, direction)
+            kinds.add("rows" if g._row_cache is not None else "lists")
+        return kinds
+
+    def test_dense_family_takes_bit_rows(self):
+        # The benchmark's dense family: one subject and 998 objects at
+        # p = 0.2 (average t-degree about 200), plus three sink objects.
+        g = random_graph(RandomGraphSpec(1, 998, 0.2, frozenset({Right.T}), 73_000))
+        sinks = [g.add_vertex(f"sink{i}", VertexKind.OBJECT) for i in range(3)]
+        far = [v for v in range(1, 999) if not g.rights_between(0, v)]
+        queries = [(0, far[0], d) for d in BOTH] + [(0, sinks[0], d) for d in BOTH]
+        assert self._pass_kinds(g, queries) == {"rows"}
+
+    def test_islands_and_worst_case_miss_graphs_take_lists(self):
+        # The benchmark's islands shape (42 subjects in tg islands, 300
+        # objects, p = 0.02: average t-degree about 7) and the
+        # worst-case-miss graphs of the count tests (at most 20).
+        islands = random_graph(RandomGraphSpec(42, 300, 0.02, frozenset({Right.T, Right.G}), 73_001))
+        cases = [(islands, [(0, 1, d) for d in BOTH] + [(0, 200, d) for d in BOTH])]
+        for n in (100, 200, 400):
+            g = random_graph(RandomGraphSpec(1, n - 2, 0.05, frozenset({Right.T}), 1 + n))
+            sink = g.add_vertex("sink", VertexKind.OBJECT)
+            cases.append((g, [(0, sink, d) for d in BOTH]))
+        for g, queries in cases:
+            assert self._pass_kinds(g, queries) == {"lists"}
+
+    def test_bridges_between_islands_keeps_the_list_loop(self):
+        # Average t-degree about 90, past the bit-row floor of 32.
+        g = random_graph(RandomGraphSpec(1, 300, 0.3, frozenset({Right.T}), 73_002))
+        u = g.add_vertex("u", VertexKind.SUBJECT)
+        g.add_edge(7, u, {Right.T})
+        g.add_edge(u, 7, {Right.T})
+        a, b = compute_islands(g)
+        for direction in BOTH:
+            assert bridges_between_islands(g, a, b, direction)
+        assert g._row_cache is None
+
+
+class TestRowCache:
+    """The bit rows a query caches on the graph must never outlive the
+    t-lists they mirror: a new t arc, from either writer, or a new vertex
+    discards them."""
+
+    def _agree(self, g, s, f, direction):
+        report = bridge_exists(g, s, f, direction)
+        assert g._row_cache is not None  # the bit-row pass ran
+        assert report == list_loop_report(g, s, f, direction)
+        assert report == bridge_exists_faithful(g, s, f, direction)
+        return report
+
+    @pytest.mark.parametrize("writer", ["add_edge", "_insert_row"])
+    def test_new_arcs_and_vertices_change_the_next_answer(self, writer):
+        g = random_graph(RandomGraphSpec(1, 200, 0.3, frozenset({Right.T}), 74_000))
+
+        def add_t_arc(src, dst):
+            if writer == "add_edge":
+                g.add_edge(src, dst, {Right.T})
+            else:
+                g._insert_row(src, [dst], bytes([_T]))
+
+        x = g.add_vertex("x", VertexKind.OBJECT)
+        for direction in BOTH:
+            assert not self._agree(g, 0, x, direction).exists
+        # 0 reaches object 5 both ways; x is joined to 5 alone, both ways.
+        add_t_arc(5, x)
+        add_t_arc(x, 5)
+        for direction in BOTH:
+            assert self._agree(g, 0, x, direction).path.vertices[-2:] == (5, x)
+        y = g.add_vertex("y", VertexKind.SUBJECT)
+        for direction in BOTH:
+            assert not self._agree(g, 0, y, direction).exists
+        add_t_arc(x, y)
+        add_t_arc(y, x)
+        for direction in BOTH:
+            assert self._agree(g, 0, y, direction).path.vertices[-3:] == (5, x, y)
+
+    def test_threads_share_one_row_cache(self):
+        # A freshly built dense graph, queried from more threads than
+        # cores at once: they race to start the cache and to fill its
+        # rows, and each must still answer as the list loop does.
+        g = random_graph(RandomGraphSpec(1, 300, 0.3, frozenset({Right.T}), 74_001))
+        queries = [(0, f, d) for f in range(1, 301, 10) for d in BOTH]
+        expected = [list_loop_report(g, *q) for q in queries]
+        assert g._row_cache is None
+        cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+        count = 2 * cores + 1
+        start = threading.Barrier(count)
+        wrong: list[object] = []
+        finished = []
+
+        def worker(k):
+            try:
+                start.wait(timeout=30)
+                # Each thread walks the queries from its own offset.
+                for i in range(len(queries)):
+                    j = (i + 7 * k) % len(queries)
+                    if bridge_exists(g, *queries[j]) != expected[j]:
+                        wrong.append(queries[j])
+                finished.append(k)
+            except Exception as exc:  # reported by the assertions below
+                wrong.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(k,)) for k in range(count)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+        assert sorted(finished) == list(range(count))
+        assert g._row_cache is not None
 
 
 class TestOracleIndependence:

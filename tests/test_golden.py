@@ -39,7 +39,6 @@ from takegrant import (
     ProtectionGraph,
     RandomGraphSpec,
     Right,
-    SplitMix64,
     VertexKind,
     bridge_exists,
     bridge_exists_faithful,
@@ -51,7 +50,7 @@ from takegrant import (
     serialize_graph,
 )
 
-from helpers import LENGTH2_BRIDGE_TGG
+from helpers import LENGTH2_BRIDGE_TGG, SplitMix64
 
 BOTH = (Direction.FORWARD, Direction.BACKWARD)
 

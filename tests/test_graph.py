@@ -32,6 +32,7 @@ from takegrant import (
     serialize_graph,
     validate_path,
 )
+from takegrant.bridges import _row_search
 from takegrant.graph import _BULK_ROW
 from takegrant.oracle import _reversed_out
 
@@ -288,6 +289,11 @@ class TestAddEdgeContainers:
         assert vars(g) == vars(want)
 
 
+def _t_arc_total(g: ProtectionGraph) -> int:
+    """The t arcs in *g*'s arc store, counted afresh."""
+    return sum(mask & 1 for row in g._out for mask in row.values())
+
+
 def _built_by_add_edge(text: str) -> ProtectionGraph:
     """The graph ``add_edge`` builds from *text*'s statements, in line order."""
     g = ProtectionGraph()
@@ -319,8 +325,9 @@ class TestRowWriter:
     """``parse_graph`` hands each run of edge lines out of one source to
     ``_insert_row`` in one call.  Whatever path the writer takes, the
     graph must equal the one ``add_edge`` builds line by line: the arc
-    store, the t-lists in the order t first reached each pair, and the
-    two object counters."""
+    store, the t-lists in the order t first reached each pair, the two
+    object counters, and the t-arc count, which must also equal the t
+    arcs in the store."""
 
     SPLIT = (
         "tgg 1\nsubject s\nobject a\nobject b\nobject c\n"
@@ -334,12 +341,14 @@ class TestRowWriter:
     def test_source_split_across_the_file(self):
         g = parse_graph(self.SPLIT)
         assert vars(g) == vars(_built_by_add_edge(self.SPLIT))
+        assert g._t_arcs == _t_arc_total(g) == 4
         assert g._t_succ[0] == [1, 4, 3]
         assert g.rights_between(0, 1) == {Right.T, Right.R}
 
     def test_t_arriving_on_a_repeat_inside_one_run(self):
         g = parse_graph(self.REPEAT_IN_RUN)
         assert vars(g) == vars(_built_by_add_edge(self.REPEAT_IN_RUN))
+        assert g._t_arcs == _t_arc_total(g) == 2
         assert g._t_succ[0] == [2, 1]  # a gains t after b
         assert g.rights_between(0, 1) == {Right.T, Right.G}
         assert (g._t_left_objects, g._t_entered_objects) == (0, 2)
@@ -351,6 +360,7 @@ class TestRowWriter:
         g = parse_graph(text)
         want = _built_by_add_edge(text)
         assert vars(g) == vars(want)
+        assert g._t_arcs == _t_arc_total(g)
         assert g.edge_count == _BULK_ROW + offset + 1
         assert g._t_succ[0] == want._t_succ[0] != sorted(want._t_succ[0])
 
@@ -367,6 +377,7 @@ class TestRowWriter:
         for dst, mask in zip(dsts, masks):
             want.add_edge(0, dst, [right for i, right in enumerate(RIGHT_ORDER) if mask >> i & 1])
         assert vars(g) == vars(want)
+        assert g._t_arcs == _t_arc_total(g)
 
     @pytest.mark.parametrize(
         "distinct, repeat, updates, sets",
@@ -392,12 +403,20 @@ class TestRowWriter:
         for dst, mask in zip(dsts, masks):
             want.add_edge(0, dst, [right for i, right in enumerate(RIGHT_ORDER) if mask >> i & 1])
         assert vars(g) == vars(want)
+        assert g._t_arcs == _t_arc_total(g)
 
     def test_a_run_of_only_non_t_arcs(self):
         text = "tgg 1\nobject s\nobject a\n" + "edge s a g\n" * (_BULK_ROW + 1)
         g = parse_graph(text)
         assert vars(g) == vars(_built_by_add_edge(text))
         assert g._t_succ[0] == [] and g._t_left_objects == 0
+        assert g._t_arcs == 0
+
+    def test_without_arcs_starts_from_zero(self):
+        g = parse_graph(self.SPLIT)
+        g._bit_rows(True)  # the cache a bit-row query starts from
+        empty = g._without_arcs()
+        assert (empty._t_arcs, empty._row_cache) == (0, None)
 
 
 class TestAdjacency:
@@ -829,10 +848,11 @@ class GraphModel(RuleBasedStateMachine):
         assert g._t_pred == [[src for src, dst in self.t_order if dst == v] for v in range(n)]
 
     @invariant()
-    def object_counters_match_recount(self):
+    def counters_match_recount(self):
         objects = {v for v, kind in enumerate(self.kinds) if kind is VertexKind.OBJECT}
         assert self.g._t_entered_objects == len(objects & {dst for _, dst in self.t_order})
         assert self.g._t_left_objects == len(objects & {src for src, _ in self.t_order})
+        assert self.g._t_arcs == len(self.t_order) == _t_arc_total(self.g)
 
     @invariant()
     def text_round_trip(self):
@@ -849,6 +869,9 @@ class GraphModel(RuleBasedStateMachine):
         for direction in (Direction.FORWARD, Direction.BACKWARD):
             fast = bridge_exists(self.g, s, f, direction)
             assert fast == bridge_exists_faithful(self.g, s, f, direction)
+            # The bit-row pass reuses the rows it cached at an earlier step
+            # only while no writer has added a t arc or a vertex since.
+            assert _row_search(self.g, s, f, direction) == fast
             assert fast.exists == (brute_force_bridge(self.g, s, f, direction) is not None)
             if fast.exists:
                 validate_path(self.g, fast.path)

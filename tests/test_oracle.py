@@ -23,7 +23,6 @@ from takegrant import (
     ProtectionGraph,
     RandomGraphSpec,
     Right,
-    SplitMix64,
     TooLargeError,
     VertexKind,
     bridge_exists,
@@ -36,7 +35,7 @@ from takegrant import (
 )
 from takegrant.oracle import _t_arc_graphs
 
-from helpers import LENGTH2_BRIDGE_TGG, make_graph
+from helpers import LENGTH2_BRIDGE_TGG, SplitMix64, make_graph
 
 SRC = str(Path(takegrant.__file__).resolve().parents[1])
 
