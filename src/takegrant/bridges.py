@@ -42,7 +42,9 @@ The bit-row pass, ``_row_search``, answers ``bridge_exists`` on dense
 graphs.  The unclaimed vertices are one int, and a frontier vertex
 claims its unclaimed successors with one AND against its bit row, the
 t-list as an int; the pass's additions come out of the cleared bits in
-one C-level extraction, with no per-claim step and no sort.
+one C-level extraction, with no per-claim step and no sort.  It takes
+the list loop's claimable count from the same helper, ``_claimable``,
+and stops at saturation as the list loop does.
 ``bridge_exists`` picks it when the average t-degree is at least
 max(32, n / 64), one O(1) test on a t-arc counter the graph's writers
 keep.  From n / 64 on, a row of n bits is no larger than the t-list it
@@ -82,7 +84,9 @@ from itertools import compress
 from typing import Any, Sequence
 
 from ._value import Value
-from .errors import InvariantViolationError, NotASubjectError, SameIslandError, SameVertexError
+from .errors import (
+    InvariantViolationError, NotASubjectError, SameIslandError, SameVertexError, UnknownVertexError
+)
 from .graph import _OBJECT, ProtectionGraph, Right, VertexId
 from .islands import Island
 
@@ -120,11 +124,6 @@ class BridgePath(Value):
     vertices: tuple[VertexId, ...]
     direction: Direction
 
-    def __init__(self, vertices: tuple[VertexId, ...], direction: Direction) -> None:
-        set_vertices, set_direction = self._setters
-        set_vertices(self, vertices)
-        set_direction(self, direction)
-
     @property
     def length(self) -> int:
         """Number of arcs on the path."""
@@ -146,21 +145,6 @@ class SearchReport(Value):
     passes: int
     frontier_trace: tuple[tuple[int, tuple[VertexId, ...]], ...]
 
-    def __init__(
-        self,
-        exists: bool,
-        direction: Direction,
-        path: BridgePath | None,
-        passes: int,
-        frontier_trace: tuple[tuple[int, tuple[VertexId, ...]], ...],
-    ) -> None:
-        set_exists, set_direction, set_path, set_passes, set_frontier_trace = self._setters
-        set_exists(self, exists)
-        set_direction(self, direction)
-        set_path(self, path)
-        set_passes(self, passes)
-        set_frontier_trace(self, frontier_trace)
-
 
 def _check_direction(direction: Direction) -> None:
     # Anything but a Direction would silently run as a backward search.
@@ -177,6 +161,32 @@ def check_query(g: ProtectionGraph, s: VertexId, f: VertexId, direction: Directi
         raise SameVertexError(
             f"bridge endpoints must differ, got {g.vertex_name(s)!r} twice"
         )
+
+
+def _claimable(
+    g: ProtectionGraph, s: VertexId, goals: Sequence[VertexId], direction: Direction
+) -> tuple[list[list[VertexId]], int]:
+    """The walk direction's t-lists, and how many vertices a search from *s* may claim.
+
+    Claimable: objects, plus subject goals, that some t arc enters in the
+    walk direction; s is reached already.  Objects entered only from
+    subjects are counted too, so the count may overestimate, never
+    underestimate.  It is 0 when *s* has no t arc in the walk direction:
+    either way the one pass a full scan would run claims nothing.  The
+    graph keeps the entered-object counts, so this costs O(goals).
+    """
+    if direction is Direction.FORWARD:
+        step, into, entered = g._t_succ, g._t_pred, g._t_entered_objects
+    else:
+        step, into, entered = g._t_pred, g._t_succ, g._t_left_objects
+    if not step[s]:
+        return step, 0
+    subject_id = g._subject_id
+    remaining = entered - (subject_id[s] is None and bool(into[s]))
+    for f in goals:
+        if subject_id[f] is not None and into[f]:
+            remaining += 1
+    return step, remaining
 
 
 def _search(
@@ -213,20 +223,8 @@ def _search(
     kind table plus O(t arcs out of the vertices it scans), and with
     *feeds* one dict lookup per frontier vertex.
     """
-    if direction is Direction.FORWARD:
-        step, into, entered = g._t_succ, g._t_pred, g._t_entered_objects
-    else:
-        step, into, entered = g._t_pred, g._t_succ, g._t_left_objects
-    subject_id = g._subject_id
-    # Claimable: objects, plus subject goals, that some t arc enters in
-    # the walk direction; s is reached already.  Objects entered only
-    # from subjects are counted too, so this may overestimate, never
-    # underestimate.
-    remaining = entered - (subject_id[s] is None and bool(into[s]))
-    for f in goals:
-        if subject_id[f] is not None and into[f]:
-            remaining += 1
-    if not remaining or not step[s]:
+    step, remaining = _claimable(g, s, goals, direction)
+    if not remaining:
         return None, [(1, ())]
     pending = list(goals)
     goal = pending.pop()  # the goal each pass start checks first
@@ -234,7 +232,7 @@ def _search(
     # for objects, a subject's own id for subjects.  Clearing the goals
     # leaves None exactly on what may be claimed, so a claim test is one
     # index and one identity check.
-    pred = subject_id.copy()
+    pred = g._subject_id.copy()
     for f in goals:
         pred[f] = None
     pred[s] = s
@@ -321,11 +319,11 @@ def _row_search(g: ProtectionGraph, s: VertexId, f: VertexId, direction: Directi
     """The bit-row pass: ``bridge_exists``' report, for dense graphs.
 
     The same passes as ``_search`` with one goal, the same saturation
-    count and the same early answer, over bits instead of lists.  The
-    vertices still unclaimed are one int, ``unclaimed``; each frontier
-    vertex v, ascending, claims ``row & unclaimed`` of its t-list's bit
-    row in one AND, so it claims what the list loop's first-arc rule
-    gives it.  A pass's additions are read, ascending, out of the bits
+    count (``_claimable``) and the same early answer, over bits instead
+    of lists.  The vertices still unclaimed are one int, ``unclaimed``;
+    each frontier vertex v, ascending, claims ``row & unclaimed`` of its
+    t-list's bit row in one AND, so it claims what the list loop's
+    first-arc rule gives it.  A pass's additions are read, ascending, out of the bits
     it cleared in one C-level extraction, and the witness is read back
     from each pass's (v, bits v claimed) pairs, so no predecessor list
     is copied or written.  A row is built from v's t-list the first time
@@ -333,18 +331,10 @@ def _row_search(g: ProtectionGraph, s: VertexId, f: VertexId, direction: Directi
     costs one AND of n / 64 words per vertex scanned, one O(n)
     extraction per pass, and O(n) for each row it builds.
     """
-    forward = direction is Direction.FORWARD
-    if forward:
-        step, into, entered = g._t_succ, g._t_pred, g._t_entered_objects
-    else:
-        step, into, entered = g._t_pred, g._t_succ, g._t_left_objects
-    subject_id = g._subject_id
-    remaining = entered - (subject_id[s] is None and bool(into[s]))
-    if subject_id[f] is not None and into[f]:
-        remaining += 1
-    if not remaining or not step[s]:
+    step, remaining = _claimable(g, s, (f,), direction)
+    if not remaining:
         return SearchReport(False, direction, None, 1, ((1, ()),))
-    objects, ids, rows = g._bit_rows(forward)
+    objects, ids, rows = g._bit_rows(direction is Direction.FORWARD)
     n = len(ids)
     goal = 1 << f
     unclaimed = (objects | goal) & ~(1 << s)
@@ -481,14 +471,20 @@ def bridges_between_islands(
 def validate_path(g: ProtectionGraph, path: BridgePath) -> None:
     """Replay a BridgePath against *g*; raises InvariantViolationError.
 
-    Checks simplicity, object-only interiors, and that a t arc in the
-    right orientation backs every step.  A direction that is not a
-    ``Direction`` raises ``TypeError``, as every engine does.
+    Checks that every vertex is in *g*, simplicity, object-only
+    interiors, and that a t arc in the right orientation backs every
+    step.  A direction that is not a ``Direction`` raises ``TypeError``,
+    as every engine does.
     """
     _check_direction(path.direction)
     verts = path.vertices
     if len(verts) < 2:
         raise InvariantViolationError("a bridge path needs at least two vertices")
+    try:
+        for v in verts:
+            g._require(v)
+    except UnknownVertexError as exc:
+        raise InvariantViolationError(f"bridge path leaves the graph: {exc}") from None
     if len(set(verts)) != len(verts):
         raise InvariantViolationError("bridge path revisits a vertex")
     for a, b in zip(verts, verts[1:]):

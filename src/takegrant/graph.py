@@ -127,12 +127,6 @@ class Edge(Value):
     dst: VertexId
     rights: frozenset[Right]
 
-    def __init__(self, src: VertexId, dst: VertexId, rights: frozenset[Right]) -> None:
-        set_src, set_dst, set_rights = self._setters
-        set_src(self, src)
-        set_dst(self, dst)
-        set_rights(self, rights)
-
 
 class ProtectionGraph:
     """Directed rights-labelled graph over named subject/object vertices.

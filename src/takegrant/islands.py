@@ -20,11 +20,6 @@ class Island(Value):
     index: int
     members: tuple[VertexId, ...]
 
-    def __init__(self, index: int, members: tuple[VertexId, ...]) -> None:
-        set_index, set_members = self._setters
-        set_index(self, index)
-        set_members(self, members)
-
 
 def _root(parent: list[VertexId], v: VertexId) -> VertexId:
     """The root of v's tree in *parent*, halving the path on the way."""

@@ -71,21 +71,7 @@ class RandomGraphSpec(Value):
     arc_probability: float
     rights_pool: frozenset[Right]
     seed: int
-
-    def __init__(
-        self,
-        n_subjects: int,
-        n_objects: int,
-        arc_probability: float,
-        rights_pool: frozenset[Right] = frozenset({Right.T}),
-        seed: int = 0,
-    ) -> None:
-        set_n_subjects, set_n_objects, set_probability, set_pool, set_seed = self._setters
-        set_n_subjects(self, n_subjects)
-        set_n_objects(self, n_objects)
-        set_probability(self, arc_probability)
-        set_pool(self, rights_pool)
-        set_seed(self, seed)
+    _defaults = (frozenset({Right.T}), 0)  # rights_pool, seed
 
 
 def _mix(z: int, m: int) -> int:

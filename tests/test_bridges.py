@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from takegrant import (
     BridgePath,
     Direction,
+    InvariantViolationError,
     Island,
     NotASubjectError,
     ProtectionGraph,
@@ -519,6 +520,19 @@ class TestErrors:
         for vertices in ((2, 1, 0), (0, 1, 2)):
             with pytest.raises(TypeError, match=f"got {direction!r}"):
                 validate_path(g, BridgePath(vertices, direction))
+
+    @pytest.mark.parametrize("foreign", [99, -1, True])
+    def test_validate_path_vertex_outside_the_graph_is_an_invariant_violation(self, foreign):
+        # A path from an engine holds only ids of g.  True == 1 is the
+        # figure's object, and 0 -> 1 is a t arc, so (0, True) would pass
+        # as a backed forward step if bool were read as an id.
+        g = figure_graph()
+        for direction in BOTH:
+            for vertices in ((0, foreign), (0, foreign, 2), (foreign, 1, 2)):
+                with pytest.raises(
+                    InvariantViolationError, match=f"vertex id {re.escape(repr(foreign))} is not in this graph$"
+                ):
+                    validate_path(g, BridgePath(vertices, direction))
 
 
 class TestBetweenIslands:

@@ -141,6 +141,18 @@ class TestBridgeCommand:
         assert out == ""
         assert err.count("\n") == 1 and err.startswith("internal error: ")
 
+    def test_path_outside_the_graph_is_internal_error(self, figure_file, capsys, monkeypatch):
+        # An engine that hands back an id the graph does not hold: a
+        # broken invariant, not a usage error, so the command exits 3.
+        def foreign(g, s, f, direction):
+            return SearchReport(True, direction, BridgePath((s, 99), direction), 1, ((1, (99,)),))
+
+        monkeypatch.setattr(cli, "bridge_exists", foreign)
+        assert cli.main(["bridge", figure_file, "s", "f"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("internal error: ")
+
     def test_unknown_name(self, figure_file, capsys):
         assert cli.main(["bridge", figure_file, "s", "zzz"]) == 2
         assert "zzz" in capsys.readouterr().err

@@ -10,6 +10,7 @@ dataclass versions.
 from __future__ import annotations
 
 import copy
+import inspect
 import pickle
 
 import pytest
@@ -86,6 +87,34 @@ def test_positional_and_keyword_construction_agree(case):
     a, b = cls(*args), cls(**kwargs)
     assert a == b
     assert tuple(getattr(a, name) for name in MATCH_ARGS[cls]) == args
+    # Keywords in reverse order, and a positional head with a keyword tail.
+    assert cls(**dict(reversed(kwargs.items()))) == a
+    assert cls(args[0], **{name: kwargs[name] for name in MATCH_ARGS[cls][1:]}) == a
+
+
+def test_constructor_parameters_are_the_fields(case):
+    # The generated __init__ names one parameter after each field, in order.
+    cls, _, _, _ = case
+    parameters = inspect.signature(cls).parameters
+    assert tuple(parameters) == cls.__slots__ == MATCH_ARGS[cls]
+    assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in parameters.values())
+    defaults = {name: p.default for name, p in parameters.items() if p.default is not p.empty}
+    assert defaults == ({"rights_pool": T_ONLY, "seed": 0} if cls is RandomGraphSpec else {})
+
+
+def test_missing_or_extra_argument_raises(case):
+    cls, args, kwargs, _ = case
+    first = MATCH_ARGS[cls][0]
+    with pytest.raises(TypeError, match=f"^{cls.__name__}.__init__\\(\\) missing"):
+        cls(*args[:1])
+    with pytest.raises(TypeError, match=f"missing 1 required positional argument: '{first}'"):
+        cls(**{name: value for name, value in kwargs.items() if name != first})
+    with pytest.raises(TypeError, match=r"positional arguments but \d+ were given"):
+        cls(*args, None)
+    with pytest.raises(TypeError, match="unexpected keyword argument 'extra'"):
+        cls(**kwargs, extra=None)
+    with pytest.raises(TypeError, match=f"multiple values for argument '{first}'"):
+        cls(*args[:1], **kwargs)
 
 
 def test_repr_matches_the_dataclass_repr(case):
@@ -191,6 +220,9 @@ def test_random_graph_spec_defaults():
         "RandomGraphSpec(n_subjects=2, n_objects=4, arc_probability=0.3, "
         "rights_pool=frozenset({<Right.T: 't'>}), seed=0)"
     )
+    # Either default may be given alone, by keyword or by position.
+    assert RandomGraphSpec(2, 4, 0.3, seed=5) == RandomGraphSpec(2, 4, 0.3, T_ONLY, 5)
+    assert RandomGraphSpec(2, 4, 0.3, frozenset(Right)).seed == 0
 
 
 def test_bridge_path_length():
