@@ -140,8 +140,9 @@ class ProtectionGraph:
     kept up to date, with a t-arc count, by ``add_vertex`` and both arc
     writers, so a query never writes arcs or t-lists: a fully built graph
     may be shared across threads for reading, while mutation needs
-    exclusive access.  A query may fill one derived cache, the bit rows
-    of ``_bit_rows``, which the next query after a mutation discards.
+    exclusive access.  A query may fill two derived caches: the bit rows
+    of ``_bit_rows``, which the next query after a mutation discards, and
+    the island forest ``_island_forest``, which every writer drops.
 
     Kind has one record, ``_subject_id``: a vertex's own id for a
     subject, ``None`` for an object, so the frontier engine can copy it
@@ -149,10 +150,10 @@ class ProtectionGraph:
     subject's id too: kind tests read ``is None``, never truthiness.
 
     Inside the package, the frontier engine reads the t-lists, their
-    counters and ``_subject_id`` directly, and the islands code
-    reads ``_out`` and ``_subject_id``.  The two reference engines in
-    ``oracle`` read each far endpoint's kind in ``_subject_id``: the
-    brute-force oracle reads the t-lists through
+    counters and ``_subject_id`` directly, and the islands code reads
+    ``_out`` and ``_subject_id`` and keeps ``_island_forest``.  The two
+    reference engines in ``oracle`` read each far endpoint's kind in
+    ``_subject_id``: the brute-force oracle reads the t-lists through
     ``t_successors``/``t_predecessors``, and the faithful engine
     re-scans ``_out`` (for backward walks, a flipped copy of its take
     arcs that ``oracle`` builds).  Nothing outside the package should.
@@ -175,6 +176,9 @@ class ProtectionGraph:
         self._t_arcs = 0
         # The bit rows queries fill (see _bit_rows), or None before the first.
         self._row_cache: tuple | None = None
+        # The union-find parents islands queries fill (see islands._forest),
+        # or None before the first query after a write: every writer drops it.
+        self._island_forest: list[VertexId] | None = None
 
     # ---- construction ------------------------------------------------
 
@@ -203,6 +207,7 @@ class ProtectionGraph:
         self._out.append({})
         self._t_succ.append([])
         self._t_pred.append([])
+        self._island_forest = None
         return vid
 
     def add_edge(self, src: VertexId, dst: VertexId, rights: Iterable[Right]) -> None:
@@ -237,6 +242,7 @@ class ProtectionGraph:
             if not mask:
                 raise EmptyRightsError(f"arc {self._names[src]} -> {self._names[dst]} has no rights")
         # The same write as _insert_row's, per arc; keep the two alike.
+        self._island_forest = None
         out = self._out[src]
         old = out.get(dst, 0)
         merged = out[dst] = old | mask
@@ -263,6 +269,7 @@ class ProtectionGraph:
         by arc.  Either way the graph ends up as ``add_edge`` called on
         each arc in order leaves it.
         """
+        self._island_forest = None
         out = self._out[src]
         subject_id = self._subject_id
         t_pred = self._t_pred

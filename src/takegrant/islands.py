@@ -4,6 +4,11 @@ Two subjects sit in the same island when a chain of subject-to-subject
 arcs carrying take or grant links them; arc direction is irrelevant for
 membership.  Objects never join islands -- paths through objects are the
 business of bridge search, not of island membership.
+
+The partition is computed once per graph state: the first islands query
+after a write builds a union-find forest over every vertex and subject
+arc, O(V + E), and keeps it on the graph until the next write drops it.
+Every later ``same_island`` is two root walks on that forest.
 """
 
 from __future__ import annotations
@@ -25,6 +30,9 @@ def _root(parent: list[VertexId], v: VertexId) -> VertexId:
     """The root of v's tree in *parent*, halving the path on the way."""
     while parent[v] != v:
         # Path halving (Tarjan & van Leeuwen 1984): v skips to its grandparent.
+        # On a graph's stored forest each such write points a vertex at one
+        # of its own ancestors, so no root ever changes and readers in other
+        # threads halving the same list still find the right roots.
         parent[v] = parent[parent[v]]
         v = parent[v]
     return v
@@ -34,15 +42,19 @@ def _forest(g: ProtectionGraph) -> list[VertexId]:
     """Union-find parents, indexed by vertex id, for the islands of *g*.
 
     Two subjects share a root exactly when they share an island; every
-    object is its own root.
+    object is its own root.  Built on the first call after a write and
+    kept in ``g._island_forest``, which every graph writer drops.
     """
-    subject_id = g._subject_id
-    parent = list(range(len(subject_id)))
-    for u, adj in enumerate(g._out):
-        if subject_id[u] is not None:
-            for w, mask in adj.items():
-                if mask & _TG and subject_id[w] is not None:
-                    parent[_root(parent, u)] = _root(parent, w)
+    parent = g._island_forest
+    if parent is None:
+        subject_id = g._subject_id
+        parent = list(range(len(subject_id)))
+        for u, adj in enumerate(g._out):
+            if subject_id[u] is not None:
+                for w, mask in adj.items():
+                    if mask & _TG and subject_id[w] is not None:
+                        parent[_root(parent, u)] = _root(parent, w)
+        g._island_forest = parent
     return parent
 
 

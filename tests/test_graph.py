@@ -29,6 +29,7 @@ from takegrant import (
     compute_islands,
     new_graph,
     parse_graph,
+    same_island,
     serialize_graph,
     validate_path,
 )
@@ -36,7 +37,15 @@ from takegrant.bridges import _row_search
 from takegrant.graph import _BULK_ROW
 from takegrant.oracle import _reversed_out
 
-from helpers import LENGTH2_BRIDGE_TGG, flipped, graphs, make_graph, t_only_projection, tgg_documents
+from helpers import (
+    LENGTH2_BRIDGE_TGG,
+    flipped,
+    graphs,
+    make_graph,
+    naive_island_partition,
+    t_only_projection,
+    tgg_documents,
+)
 
 
 def figure_graph():
@@ -289,6 +298,18 @@ class TestAddEdgeContainers:
         assert vars(g) == vars(want)
 
 
+def _forest_partition(g: ProtectionGraph, parent: list[int]) -> list[tuple[int, ...]]:
+    """The subjects of *g* grouped by their root in the union-find list
+    *parent*, read without changing it, as ``naive_island_partition`` lists them."""
+    groups: dict[int, list[int]] = {}
+    for v in g.subjects():
+        root = v
+        while parent[root] != root:
+            root = parent[root]
+        groups.setdefault(root, []).append(v)
+    return sorted(tuple(members) for members in groups.values())
+
+
 def _t_arc_total(g: ProtectionGraph) -> int:
     """The t arcs in *g*'s arc store, counted afresh."""
     return sum(mask & 1 for row in g._out for mask in row.values())
@@ -538,7 +559,9 @@ class TestTIndex:
 
     @given(graphs(rights=(Right.T, Right.G)))
     def test_queries_never_write(self, g):
-        before = copy.deepcopy(vars(g))
+        # The island forest is the one attribute a query may fill (the
+        # bit rows' own cache stays pinned with the rest).
+        before = copy.deepcopy({k: v for k, v in vars(g).items() if k != "_island_forest"})
         n = g.vertex_count
         for direction in Direction:
             for s in range(n):
@@ -555,7 +578,10 @@ class TestTIndex:
         for v in range(n):
             g.t_successors(v)
             g.t_predecessors(v)
-        assert vars(g) == before
+        forest = g._island_forest
+        assert forest is not None
+        assert {k: v for k, v in vars(g).items() if k != "_island_forest"} == before
+        assert _forest_partition(g, forest) == naive_island_partition(g)
 
 
 class TestReverse:
@@ -853,6 +879,34 @@ class GraphModel(RuleBasedStateMachine):
         assert self.g._t_entered_objects == len(objects & {dst for _, dst in self.t_order})
         assert self.g._t_left_objects == len(objects & {src for src, _ in self.t_order})
         assert self.g._t_arcs == len(self.t_order) == _t_arc_total(self.g)
+
+    @invariant()
+    def islands_match_model(self):
+        # The model's partition: subjects joined by a t or g arc either
+        # way, flood-filled.  Every writer step comes after this query
+        # filled the graph's island forest, so a writer that left it
+        # standing would answer from the arcs before its write.
+        subjects = [v for v, kind in enumerate(self.kinds) if kind is VertexKind.SUBJECT]
+        linked: dict[int, set[int]] = {v: set() for v in subjects}
+        for (src, dst), rights in self.masks.items():
+            if src in linked and dst in linked and rights & {Right.T, Right.G}:
+                linked[src].add(dst)
+                linked[dst].add(src)
+        island_of: dict[int, int] = {}
+        for v in subjects:
+            if v not in island_of:
+                island_of[v] = v
+                stack = [v]
+                while stack:
+                    for w in linked[stack.pop()]:
+                        if w not in island_of:
+                            island_of[w] = v
+                            stack.append(w)
+        expected = [tuple(v for v in subjects if island_of[v] == first) for first in subjects if island_of[first] == first]
+        assert [island.members for island in compute_islands(self.g)] == expected
+        for u in subjects:
+            for v in subjects:
+                assert same_island(self.g, u, v) == (island_of[u] == island_of[v])
 
     @invariant()
     def text_round_trip(self):
