@@ -39,26 +39,16 @@ per frontier vertex finds the goals it feeds, so the search ends before
 the pass that reaches its last goal is scanned.
 
 The bit-row pass, ``_row_search``, answers ``bridge_exists`` on dense
-graphs.  The unclaimed vertices are one int, and a frontier vertex
-claims its unclaimed successors with one AND against its bit row, the
-t-list as an int; the pass's additions come out of the cleared bits in
-one C-level extraction, with no per-claim step and no sort.  It takes
-the list loop's claimable count from the same helper, ``_claimable``,
-and stops at saturation as the list loop does.
-``bridge_exists`` picks it when the average t-degree is at least
-max(32, n / 64), one O(1) test on a t-arc counter the graph's writers
-keep.  From n / 64 on, a row of n bits is no larger than the t-list it
-mirrors, so an AND costs no more than scanning the list, and the
-extractions, O(n) per pass and at most n passes, total n * n <= 64 t
-arcs: the query stays O(t arcs).  The floor keeps sparse graphs, whose
-passes claim too little to pay for an extraction over every id, on the
-list loop.  Rows are
-built on demand, the first time a query scans the vertex, and kept on
-the graph until its t-arc or vertex count changes: so a cold first
-query pays for the rows it scans, about 9 us each at 1,000 vertices,
-never for an index of the whole graph.  Filling that cache is the one
-write a query makes; it never writes arcs or t-lists.
-``bridges_between_islands`` always runs the list loop.
+graphs (the threshold and why: ``_ROW_DEGREE``).  The unclaimed
+vertices are one int, and a frontier vertex claims its unclaimed
+successors with one AND against its bit row, the t-list as an int; the
+pass's additions come out of the cleared bits in one C-level
+extraction, with no per-claim step and no sort.  It takes the list
+loop's claimable count from the same helper, ``_claimable``, and stops
+at saturation as the list loop does.  Only this module knows the rows'
+format: it builds them on demand into the graph's row cache, which
+every graph writer clears (see ``ProtectionGraph``).  The list loop
+writes nothing, and ``bridges_between_islands`` always runs it.
 
 Pass semantics, shared with the faithful engine and pinned by the tests:
 
@@ -92,9 +82,13 @@ from .islands import Island
 
 
 # bridge_exists takes the bit-row pass when the average t-degree is at
-# least max(_ROW_DEGREE, n / 64).  From n / 64 on, a row of n bits is no
-# larger than the t-list of 8-byte pointers it mirrors, which keeps the
-# query O(t arcs).  The floor: on random graphs of 100 to 600 vertices
+# least max(_ROW_DEGREE, n / 64), one O(1) test on the t-arc and vertex
+# counts.  From n / 64 on, a row of n bits is no larger than the t-list of
+# 8-byte pointers it mirrors, so an AND costs no more than scanning the
+# list, and the extractions, O(n) per pass and at most n passes, total
+# n * n <= 64 t arcs: the query stays O(t arcs).  The floor keeps sparse
+# graphs, whose passes claim too little to pay for an extraction over
+# every id, on the list loop: on random graphs of 100 to 600 vertices
 # (Python 3.11, 40 queries each, rows warm) the bit-row pass took 1.07 to
 # 1.43 times the list loop's time at average t-degree 8, 0.64 to 0.90 at
 # 16 and 0.43 to 0.89 at 32; a first query also builds each row it scans
@@ -300,9 +294,9 @@ def bridge_exists(
     claims the last claimable vertex.  A start with no t arc in the
     walk direction, or a graph with nothing claimable, is answered in
     O(1): one empty pass, no copy.  This is the single-goal case of the
-    search ``bridges_between_islands`` runs once per source.  When the
-    average t-degree is at least max(32, n / 64), the same passes run
-    as bit-row passes (``_row_search``), to the same report.
+    search ``bridges_between_islands`` runs once per source.  On a dense
+    graph (see ``_ROW_DEGREE``) the same passes run as bit-row passes
+    (``_row_search``), to the same report.
     """
     check_query(g, s, f, direction)
     n = len(g._subject_id)
@@ -326,15 +320,27 @@ def _row_search(g: ProtectionGraph, s: VertexId, f: VertexId, direction: Directi
     first-arc rule gives it.  A pass's additions are read, ascending, out of the bits
     it cleared in one C-level extraction, and the witness is read back
     from each pass's (v, bits v claimed) pairs, so no predecessor list
-    is copied or written.  A row is built from v's t-list the first time
-    a query scans v, and kept on the graph (``_bit_rows``).  The query
-    costs one AND of n / 64 words per vertex scanned, one O(n)
-    extraction per pass, and O(n) for each row it builds.
+    is copied or written.
+
+    ``g._row_cache`` holds the objects as one int (bit v set for each
+    object v), the ids 0 to n - 1 as one list, and a forward and a
+    backward row list.  Row v, once built, has bit w set for each t arc
+    v -> w (w -> v): it is built from v's t-list the first time a query
+    scans v, so a cold query pays only for the rows it scans, about 9 us
+    each at 1,000 vertices.  Two threads may both fill a row, with the
+    same value.  The query costs one AND of n / 64 words per vertex
+    scanned, one O(n) extraction per pass, and O(n) per row it builds.
     """
     step, remaining = _claimable(g, s, (f,), direction)
     if not remaining:
         return SearchReport(False, direction, None, 1, ((1, ()),))
-    objects, ids, rows = g._bit_rows(direction is Direction.FORWARD)
+    cache = g._row_cache
+    if cache is None:
+        n = len(g._subject_id)
+        # A "1" per object, highest id first, read as a binary numeral.
+        objects = int(bytes([49 if sid is None else 48 for sid in reversed(g._subject_id)]), 2)
+        cache = g._row_cache = (objects, list(range(n)), [None] * n, [None] * n)
+    objects, ids, rows = cache[0], cache[1], cache[2 if direction is Direction.FORWARD else 3]
     n = len(ids)
     goal = 1 << f
     unclaimed = (objects | goal) & ~(1 << s)

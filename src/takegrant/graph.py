@@ -140,9 +140,11 @@ class ProtectionGraph:
     kept up to date, with a t-arc count, by ``add_vertex`` and both arc
     writers, so a query never writes arcs or t-lists: a fully built graph
     may be shared across threads for reading, while mutation needs
-    exclusive access.  A query may fill two derived caches: the bit rows
-    of ``_bit_rows``, which the next query after a mutation discards, and
-    the island forest ``_island_forest``, which every writer drops.
+    exclusive access.  A query may fill two derived caches, each built and
+    read by one module: ``_row_cache``, the bit rows of ``bridges``, and
+    ``_island_forest``, the union-find forest of ``islands``.  The one
+    rule for both: every writer sets both to ``None``, in one statement,
+    and the next query that needs one builds it afresh.
 
     Kind has one record, ``_subject_id``: a vertex's own id for a
     subject, ``None`` for an object, so the frontier engine can copy it
@@ -151,9 +153,9 @@ class ProtectionGraph:
 
     Inside the package, the frontier engine reads the t-lists, their
     counters and ``_subject_id`` directly, and the islands code reads
-    ``_out`` and ``_subject_id`` and keeps ``_island_forest``.  The two
-    reference engines in ``oracle`` read each far endpoint's kind in
-    ``_subject_id``: the brute-force oracle reads the t-lists through
+    ``_out`` and ``_subject_id``.  The two reference engines in
+    ``oracle`` read each far endpoint's kind in ``_subject_id``: the
+    brute-force oracle reads the t-lists through
     ``t_successors``/``t_predecessors``, and the faithful engine
     re-scans ``_out`` (for backward walks, a flipped copy of its take
     arcs that ``oracle`` builds).  Nothing outside the package should.
@@ -174,10 +176,9 @@ class ProtectionGraph:
         self._t_left_objects = 0
         # Take arcs: every pair whose arc carries t, counted once.
         self._t_arcs = 0
-        # The bit rows queries fill (see _bit_rows), or None before the first.
+        # The query caches (see the class docstring): None until a query
+        # fills one, and again after every write.
         self._row_cache: tuple | None = None
-        # The union-find parents islands queries fill (see islands._forest),
-        # or None before the first query after a write: every writer drops it.
         self._island_forest: list[VertexId] | None = None
 
     # ---- construction ------------------------------------------------
@@ -207,7 +208,7 @@ class ProtectionGraph:
         self._out.append({})
         self._t_succ.append([])
         self._t_pred.append([])
-        self._island_forest = None
+        self._island_forest = self._row_cache = None
         return vid
 
     def add_edge(self, src: VertexId, dst: VertexId, rights: Iterable[Right]) -> None:
@@ -242,7 +243,7 @@ class ProtectionGraph:
             if not mask:
                 raise EmptyRightsError(f"arc {self._names[src]} -> {self._names[dst]} has no rights")
         # The same write as _insert_row's, per arc; keep the two alike.
-        self._island_forest = None
+        self._island_forest = self._row_cache = None
         out = self._out[src]
         old = out.get(dst, 0)
         merged = out[dst] = old | mask
@@ -269,7 +270,7 @@ class ProtectionGraph:
         by arc.  Either way the graph ends up as ``add_edge`` called on
         each arc in order leaves it.
         """
-        self._island_forest = None
+        self._island_forest = self._row_cache = None
         out = self._out[src]
         subject_id = self._subject_id
         t_pred = self._t_pred
@@ -360,28 +361,6 @@ class ProtectionGraph:
         if not (v.__class__ is int and 0 <= v < len(self._names)):
             self._require(v)
         return sorted(self._t_pred[v])
-
-    def _bit_rows(self, forward: bool) -> tuple[int, list[VertexId], list[int | None]]:
-        """The objects as one int (bit v set for each object v), the ids
-        0 to n - 1 as one shared list, and one walk direction's row
-        cache, for the bit-row pass in ``bridges``.
-
-        Row v of the forward (backward) cache, once a query fills it, has
-        bit w set for each t arc v -> w (w -> v): v's t-list as one int.
-        Arcs are never removed, so the t-arc count and the vertex count
-        pin the t-lists; the first call after either changes starts empty
-        caches, and the writers never touch them.  Two queries running at
-        once may both fill a row, with the same value; arcs and t-lists
-        are never written.
-        """
-        key = (self._t_arcs, len(self._names))
-        cache = self._row_cache
-        if cache is None or cache[0] != key:
-            n = key[1]
-            # A "1" per object, highest id first, read as a binary numeral.
-            objects = int(bytes([49 if sid is None else 48 for sid in reversed(self._subject_id)]), 2)
-            cache = self._row_cache = (key, objects, list(range(n)), [None] * n, [None] * n)
-        return cache[1], cache[2], cache[3 if forward else 4]
 
     def edges(self) -> list[Edge]:
         """Every merged arc, sorted by (src, dst)."""

@@ -13,9 +13,18 @@ change was faster.  With no CASE every case runs:
 * ``add_edge``: build 300 small-audit-shaped graphs (2 subjects, 4 to 12
   objects, take out-degree 1.6, every right) with ``add_vertex`` and
   ``add_edge``, the arcs passed as the frozensets ``edges()`` hands out;
+* ``audit``: small-audit's op on 300 graphs of the same shape, arcs
+  shuffled: ``add_edge`` half the arcs, ``bridge_exists`` both ways, add
+  the rest, then ``bridge_exists``, ``bridge_exists_faithful`` and
+  ``brute_force_bridge`` both ways and ``compute_islands``; the one case
+  that interleaves writes with queries;
 * ``same_island``: 300 subject pairs on one 340-vertex, ~3,600-arc
   graph with every right;
 * ``chain``: a forward ``bridge_exists`` down a 1,000-object take chain;
+* ``ladder``: a forward ``bridge_exists`` across a 2x500 object grid,
+  take arcs rightwards and downwards, 502 passes;
+* ``onepass``: 1,000 forward ``bridge_exists`` misses from the end of a
+  3,000-object take chain, each decided in one pass;
 * ``dense_miss``: a forward ``bridge_exists`` from the subject of a
   998-object graph with take arcs at p = 0.2 to an isolated object.
 
@@ -27,6 +36,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import random
 import statistics
 import subprocess
 import sys
@@ -36,14 +46,21 @@ from pathlib import Path
 REPEATS = 15
 
 
-def _add_edge_case(tg):
+def _small_graphs(tg, seed):
+    """300 small-audit-shaped graphs as (vertices, arcs): 2 subjects, 4 to
+    12 objects, take out-degree 1.6, every right; arcs in ``edges()`` order."""
     graphs = []
     for i in range(300):
         objects = 4 + i % 9
-        spec = tg.RandomGraphSpec(2, objects, 1.6 / (objects + 2), frozenset(tg.Right), 29_000 + i)
+        spec = tg.RandomGraphSpec(2, objects, 1.6 / (objects + 2), frozenset(tg.Right), seed + i)
         g = tg.random_graph(spec)
         vertices = [(g.vertex_name(v), g.vertex_kind(v)) for v in range(g.vertex_count)]
         graphs.append((vertices, [(e.src, e.dst, e.rights) for e in g.edges()]))
+    return graphs
+
+
+def _add_edge_case(tg):
+    graphs = _small_graphs(tg, 29_000)
 
     def run():
         for vertices, arcs in graphs:
@@ -52,6 +69,33 @@ def _add_edge_case(tg):
                 g.add_vertex(name, kind)
             for src, dst, rights in arcs:
                 g.add_edge(src, dst, rights)
+
+    return run
+
+
+def _audit_case(tg):
+    graphs = _small_graphs(tg, 29_300)
+    for i, (_, arcs) in enumerate(graphs):
+        random.Random(i).shuffle(arcs)
+    both = (tg.Direction.FORWARD, tg.Direction.BACKWARD)
+
+    def run():
+        for vertices, arcs in graphs:
+            g = tg.new_graph()
+            for name, kind in vertices:
+                g.add_vertex(name, kind)
+            half = len(arcs) // 2
+            for src, dst, rights in arcs[:half]:
+                g.add_edge(src, dst, rights)
+            for d in both:
+                tg.bridge_exists(g, 0, 1, d)
+            for src, dst, rights in arcs[half:]:
+                g.add_edge(src, dst, rights)
+            for d in both:
+                tg.bridge_exists(g, 0, 1, d)
+                tg.bridge_exists_faithful(g, 0, 1, d)
+                tg.brute_force_bridge(g, 0, 1, d)
+            tg.compute_islands(g)
 
     return run
 
@@ -67,8 +111,8 @@ def _same_island_case(tg):
     return run
 
 
-def _chain_case(tg):
-    n = 1000
+def _chain(tg, n):
+    """Subject h (id 0), take arcs through objects c1 to cn, subject f (n + 1)."""
     g = tg.new_graph()
     g.add_vertex("h", tg.VertexKind.SUBJECT)
     for i in range(1, n + 1):
@@ -76,7 +120,42 @@ def _chain_case(tg):
     g.add_vertex("f", tg.VertexKind.SUBJECT)
     for i in range(n + 1):
         g.add_edge(i, i + 1, {tg.Right.T})
-    return lambda: tg.bridge_exists(g, 0, n + 1, tg.Direction.FORWARD)
+    return g
+
+
+def _chain_case(tg):
+    g = _chain(tg, 1000)
+    return lambda: tg.bridge_exists(g, 0, 1001, tg.Direction.FORWARD)
+
+
+def _ladder_case(tg):
+    rows, cols = 2, 500
+    g = tg.new_graph()
+    g.add_vertex("s", tg.VertexKind.SUBJECT)
+    for r in range(rows):
+        for c in range(cols):
+            g.add_vertex(f"g{r}_{c}", tg.VertexKind.OBJECT)
+    f = g.add_vertex("f", tg.VertexKind.SUBJECT)
+    cell = lambda r, c: 1 + r * cols + c  # noqa: E731
+    g.add_edge(0, cell(0, 0), {tg.Right.T})
+    g.add_edge(cell(rows - 1, cols - 1), f, {tg.Right.T})
+    for r in range(rows):
+        for c in range(cols):
+            if c + 1 < cols:
+                g.add_edge(cell(r, c), cell(r, c + 1), {tg.Right.T})
+            if r + 1 < rows:
+                g.add_edge(cell(r, c), cell(r + 1, c), {tg.Right.T})
+    return lambda: tg.bridge_exists(g, 0, f, tg.Direction.FORWARD)
+
+
+def _onepass_case(tg):
+    g = _chain(tg, 3000)
+
+    def run():
+        for _ in range(1000):
+            tg.bridge_exists(g, 3001, 0, tg.Direction.FORWARD)
+
+    return run
 
 
 def _dense_miss_case(tg):
@@ -92,8 +171,11 @@ def _dense_miss_case(tg):
 
 CASES = {
     "add_edge": _add_edge_case,
+    "audit": _audit_case,
     "same_island": _same_island_case,
     "chain": _chain_case,
+    "ladder": _ladder_case,
+    "onepass": _onepass_case,
     "dense_miss": _dense_miss_case,
 }
 

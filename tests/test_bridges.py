@@ -34,7 +34,7 @@ from takegrant import (
     serialize_graph,
     validate_path,
 )
-from takegrant.graph import _T
+from takegrant.graph import _BULK_ROW, _T
 from takegrant.oracle import _t_arc_graphs
 
 from helpers import (
@@ -338,8 +338,24 @@ class TestPassSelection:
 
 class TestRowCache:
     """The bit rows a query caches on the graph must never outlive the
-    t-lists they mirror: a new t arc, from either writer, or a new vertex
-    discards them."""
+    graph state they mirror: every writer clears them, whatever it
+    writes, and the next dense query builds them afresh."""
+
+    # Each write after a dense query, with whether 0 ~> x then exists
+    # forward and backward.  Object x starts isolated; 0 reaches object 5
+    # both ways, and object 1 backward (random_graph seed 74_000).
+    WRITES = {
+        "add_vertex": (lambda g, x: g.add_vertex("y", VertexKind.SUBJECT), (False, False)),
+        "add_edge-t": (lambda g, x: g.add_edge(5, x, {Right.T}), (True, False)),
+        # The t-lists do not change, and the rows must go all the same.
+        "add_edge-g-only": (lambda g, x: g.add_edge(5, x, {Right.G}), (False, False)),
+        "_insert_row-per-arc": (lambda g, x: g._insert_row(5, [x], bytes([_T])), (True, False)),
+        # x has no arcs yet, so a run of _BULK_ROW takes the bulk path.
+        "_insert_row-bulk": (
+            lambda g, x: g._insert_row(x, range(1, 1 + _BULK_ROW), bytes([_T]) * _BULK_ROW),
+            (False, True),
+        ),
+    }
 
     def _agree(self, g, s, f, direction):
         report = bridge_exists(g, s, f, direction)
@@ -373,6 +389,19 @@ class TestRowCache:
         add_t_arc(y, x)
         for direction in BOTH:
             assert self._agree(g, 0, y, direction).path.vertices[-3:] == (5, x, y)
+
+    @pytest.mark.parametrize("write", WRITES)
+    def test_every_write_clears_the_rows(self, write):
+        g = random_graph(RandomGraphSpec(1, 200, 0.3, frozenset({Right.T}), 74_000))
+        x = g.add_vertex("x", VertexKind.OBJECT)
+        for direction in BOTH:
+            assert not self._agree(g, 0, x, direction).exists
+        do, exists = self.WRITES[write]
+        do(g, x)
+        assert g._row_cache is None
+        assert tuple(self._agree(g, 0, x, d).exists for d in BOTH) == exists
+        if write == "add_vertex":
+            assert not any(self._agree(g, 0, x + 1, d).exists for d in BOTH)
 
     def test_threads_share_one_row_cache(self):
         # A freshly built dense graph, queried from more threads than

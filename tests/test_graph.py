@@ -34,7 +34,7 @@ from takegrant import (
     validate_path,
 )
 from takegrant.bridges import _row_search
-from takegrant.graph import _BULK_ROW
+from takegrant.graph import _BULK_ROW, _T
 from takegrant.oracle import _reversed_out
 
 from helpers import (
@@ -435,9 +435,12 @@ class TestRowWriter:
 
     def test_without_arcs_starts_from_zero(self):
         g = parse_graph(self.SPLIT)
-        g._bit_rows(True)  # the cache a bit-row query starts from
+        # Fill both query caches: the bit rows and the island forest.
+        _row_search(g, 0, 2, Direction.FORWARD)
+        compute_islands(g)
+        assert None not in (g._row_cache, g._island_forest)
         empty = g._without_arcs()
-        assert (empty._t_arcs, empty._row_cache) == (0, None)
+        assert (empty._t_arcs, empty._row_cache, empty._island_forest) == (0, None, None)
 
 
 class TestAdjacency:
@@ -493,6 +496,11 @@ class TestAdjacency:
         for v in range(g.vertex_count):
             for lst in (g.t_successors(v), g.t_predecessors(v)):
                 assert lst == sorted(set(lst))
+
+
+# The graph attributes a query may fill.  Every writer sets each to None,
+# so a new query cache must be named here before any test lets it change.
+QUERY_CACHES = ("_island_forest", "_row_cache")
 
 
 class TestTIndex:
@@ -559,15 +567,18 @@ class TestTIndex:
 
     @given(graphs(rights=(Right.T, Right.G)))
     def test_queries_never_write(self, g):
-        # The island forest is the one attribute a query may fill (the
-        # bit rows' own cache stays pinned with the rest).
-        before = copy.deepcopy({k: v for k, v in vars(g).items() if k != "_island_forest"})
+        # A query may fill only the attributes QUERY_CACHES names.
+        def state():
+            return {k: v for k, v in vars(g).items() if k not in QUERY_CACHES}
+
+        before = copy.deepcopy(state())
         n = g.vertex_count
         for direction in Direction:
             for s in range(n):
                 for f in range(n):
                     if s != f:
                         bridge_exists(g, s, f, direction)
+                        _row_search(g, s, f, direction)
                         bridge_exists_faithful(g, s, f, direction)
                         brute_force_bridge(g, s, f, direction)
             islands = compute_islands(g)
@@ -580,8 +591,18 @@ class TestTIndex:
             g.t_predecessors(v)
         forest = g._island_forest
         assert forest is not None
-        assert {k: v for k, v in vars(g).items() if k != "_island_forest"} == before
+        assert state() == before
         assert _forest_partition(g, forest) == naive_island_partition(g)
+        # Every writer clears every query cache, whatever a query left there.
+        for write in (
+            lambda: g.add_vertex(f"v{n}", VertexKind.OBJECT),
+            lambda: g.add_edge(0, n, {Right.R}),
+            lambda: g._insert_row(n, [0], bytes([_T])),
+        ):
+            for name in QUERY_CACHES:
+                setattr(g, name, object())
+            write()
+            assert [getattr(g, name) for name in QUERY_CACHES] == [None] * len(QUERY_CACHES)
 
 
 class TestReverse:
@@ -923,8 +944,8 @@ class GraphModel(RuleBasedStateMachine):
         for direction in (Direction.FORWARD, Direction.BACKWARD):
             fast = bridge_exists(self.g, s, f, direction)
             assert fast == bridge_exists_faithful(self.g, s, f, direction)
-            # The bit-row pass reuses the rows it cached at an earlier step
-            # only while no writer has added a t arc or a vertex since.
+            # The bit-row pass builds its rows afresh after any write: every
+            # writer clears the row cache an earlier step's probe filled.
             assert _row_search(self.g, s, f, direction) == fast
             assert fast.exists == (brute_force_bridge(self.g, s, f, direction) is not None)
             if fast.exists:
